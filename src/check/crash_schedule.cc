@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace hoopnvm
 {
 
@@ -189,8 +191,10 @@ CrashSchedule::toJson() const
     os << "  \"recover_threads\": " << recoverThreads << ",\n";
     os << "  \"torn_writes\": " << (tornWrites ? "true" : "false")
        << ",\n";
-    os << "  \"media_fault_prob\": " << mediaFaultProb << ",\n";
-    os << "  \"runtime_fault_prob\": " << runtimeFaultProb << ",\n";
+    os << "  \"media_fault_prob\": " << jsonNumber(mediaFaultProb)
+       << ",\n";
+    os << "  \"runtime_fault_prob\": " << jsonNumber(runtimeFaultProb)
+       << ",\n";
     os << "  \"break_commit_fence\": "
        << (breakCommitFence ? "true" : "false") << ",\n";
     os << "  \"ordering\": " << (ordering ? "true" : "false") << ",\n";

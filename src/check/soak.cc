@@ -65,8 +65,8 @@ SoakSpec::toJson() const
     field("warmup_tx", std::to_string(warmupTx));
     field("phases", std::to_string(phases));
     field("tx_per_phase", std::to_string(txPerPhase));
-    field("fault_prob", std::to_string(faultProb));
-    field("escalation", std::to_string(escalation));
+    field("fault_prob", jsonNumber(faultProb));
+    field("escalation", jsonNumber(escalation));
     field("recover_threads", std::to_string(recoverThreads), true);
     out += "}\n";
     return out;

@@ -4,6 +4,7 @@
  */
 #include "common/json.hh"
 
+#include <charconv>
 #include <cstdio>
 
 namespace hoopnvm
@@ -55,6 +56,15 @@ std::string
 jsonQuote(const std::string &s)
 {
     return "\"" + jsonEscape(s) + "\"";
+}
+
+std::string
+jsonNumber(double v)
+{
+    char buf[32];
+    const std::to_chars_result r =
+        std::to_chars(buf, buf + sizeof(buf), v);
+    return std::string(buf, r.ptr);
 }
 
 } // namespace hoopnvm

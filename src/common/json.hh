@@ -24,4 +24,8 @@ std::string jsonEscape(const std::string &s);
 /** jsonEscape(s) wrapped in double quotes — a complete JSON string. */
 std::string jsonQuote(const std::string &s);
 
+/** Shortest decimal form of @p v that parses back (strtod) to the
+ *  identical double, so replayable specs never lose precision. */
+std::string jsonNumber(double v);
+
 } // namespace hoopnvm

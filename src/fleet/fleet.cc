@@ -67,17 +67,17 @@ FleetSpec::toJson() const
     field("warmup_tx", std::to_string(warmupTx));
     field("recover_threads", std::to_string(recoverThreads));
     field("max_attempts", std::to_string(maxAttempts));
-    field("backoff_base_ns", std::to_string(backoffBaseNs));
-    field("deadline_ns", std::to_string(deadlineNs));
-    field("mean_interarrival_ns", std::to_string(meanInterarrivalNs));
-    field("think_ns", std::to_string(thinkNs));
+    field("backoff_base_ns", jsonNumber(backoffBaseNs));
+    field("deadline_ns", jsonNumber(deadlineNs));
+    field("mean_interarrival_ns", jsonNumber(meanInterarrivalNs));
+    field("think_ns", jsonNumber(thinkNs));
     field("tenants", std::to_string(tenants));
-    field("tenant_theta", std::to_string(tenantTheta));
+    field("tenant_theta", jsonNumber(tenantTheta));
     field("connections", std::to_string(connections));
-    field("churn_prob", std::to_string(churnProb));
+    field("churn_prob", jsonNumber(churnProb));
     field("chaos_events_per_shard",
           std::to_string(chaosEventsPerShard));
-    field("fault_prob", std::to_string(faultProb));
+    field("fault_prob", jsonNumber(faultProb));
     field("inject_ack_before_durable",
           injectAckBeforeDurable ? "true" : "false", true);
     out += "}\n";

@@ -50,6 +50,25 @@ TEST(CrashSchedule, JsonRoundTrip)
     EXPECT_EQ(r.steps[1].recoveryCountdown, 9u);
 }
 
+TEST(CrashSchedule, FaultProbabilitiesRoundTripExactly)
+{
+    // A reproducer must replay the experiment it was written from:
+    // six significant digits lose both of these values.
+    CrashSchedule s;
+    s.mediaFaultProb = 1.0 / 3.0;
+    s.runtimeFaultProb = 0.01 * 1.3 * 1.3 * 1.3;
+
+    CrashSchedule r;
+    std::string err;
+    ASSERT_TRUE(CrashSchedule::fromJson(s.toJson(), &r, &err)) << err;
+    EXPECT_EQ(r.mediaFaultProb, s.mediaFaultProb);
+    EXPECT_EQ(r.runtimeFaultProb, s.runtimeFaultProb);
+
+    s.runtimeFaultProb = 1e-7;
+    ASSERT_TRUE(CrashSchedule::fromJson(s.toJson(), &r, &err)) << err;
+    EXPECT_EQ(r.runtimeFaultProb, 1e-7);
+}
+
 TEST(CrashSchedule, RejectsMalformedInput)
 {
     CrashSchedule r;

@@ -275,7 +275,22 @@ TEST(FleetSpec, JsonRoundTripIsExact)
     spec.chaosProfile = "stalls";
     spec.seed = 1234567;
     spec.shards = 6;
+    spec.coresPerShard = 3;
     spec.requests = 321;
+    spec.warmupTx = 7;
+    spec.recoverThreads = 5;
+    spec.maxAttempts = 9;
+    spec.tenants = 31;
+    spec.connections = 12;
+    spec.chaosEventsPerShard = 4;
+    // Doubles a six-decimal formatter loses or rounds.
+    spec.backoffBaseNs = 1234.5678901234;
+    spec.deadlineNs = 1.0 / 3.0 * 1e7;
+    spec.meanInterarrivalNs = 0.1 + 0.2;
+    spec.thinkNs = 2e-3;
+    spec.tenantTheta = 0.9876543210123;
+    spec.churnProb = 1e-7;
+    spec.faultProb = 0.01 * 1.3 * 1.3 * 1.3;
     spec.injectAckBeforeDurable = true;
 
     FleetSpec back;
@@ -286,7 +301,23 @@ TEST(FleetSpec, JsonRoundTripIsExact)
     EXPECT_EQ(back.scheme, Scheme::OptRedo);
     EXPECT_EQ(back.workload, "hashmap");
     EXPECT_EQ(back.chaosProfile, "stalls");
+    EXPECT_EQ(back.seed, spec.seed);
     EXPECT_EQ(back.shards, 6u);
+    EXPECT_EQ(back.coresPerShard, spec.coresPerShard);
+    EXPECT_EQ(back.requests, spec.requests);
+    EXPECT_EQ(back.warmupTx, spec.warmupTx);
+    EXPECT_EQ(back.recoverThreads, spec.recoverThreads);
+    EXPECT_EQ(back.maxAttempts, spec.maxAttempts);
+    EXPECT_EQ(back.backoffBaseNs, spec.backoffBaseNs);
+    EXPECT_EQ(back.deadlineNs, spec.deadlineNs);
+    EXPECT_EQ(back.meanInterarrivalNs, spec.meanInterarrivalNs);
+    EXPECT_EQ(back.thinkNs, spec.thinkNs);
+    EXPECT_EQ(back.tenants, spec.tenants);
+    EXPECT_EQ(back.tenantTheta, spec.tenantTheta);
+    EXPECT_EQ(back.connections, spec.connections);
+    EXPECT_EQ(back.churnProb, spec.churnProb);
+    EXPECT_EQ(back.chaosEventsPerShard, spec.chaosEventsPerShard);
+    EXPECT_EQ(back.faultProb, spec.faultProb);
     EXPECT_TRUE(back.injectAckBeforeDurable);
 }
 
