@@ -55,7 +55,12 @@ jsonEscape(const std::string &s)
 std::string
 jsonQuote(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    // Appended in place: `"\"" + jsonEscape(s)` inlines a copy that
+    // GCC 12's -Wrestrict misreads as a possible self-overlap.
+    std::string out = "\"";
+    out += jsonEscape(s);
+    out += '"';
+    return out;
 }
 
 std::string

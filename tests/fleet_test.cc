@@ -84,9 +84,10 @@ TEST(ArrivalStream, RespectsThinkTimePerConnection)
     std::map<std::uint64_t, Tick> lastAt;
     for (const Arrival &a : generate(cfg, 800)) {
         auto it = lastAt.find(a.connection);
-        if (it != lastAt.end())
+        if (it != lastAt.end()) {
             EXPECT_GE(a.at, it->second + cfg.thinkTicks)
                 << "connection " << a.connection;
+        }
         lastAt[a.connection] = a.at;
     }
 }
@@ -227,8 +228,9 @@ TEST(ChaosProfile, ExpansionIsDeterministicSortedAndCovering)
         EXPECT_EQ(a[i].at, b[i].at);
         EXPECT_EQ(a[i].shard, b[i].shard);
         EXPECT_EQ(a[i].kind, b[i].kind);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].at, a[i - 1].at) << "sorted by time";
+        }
         // Events land inside the horizon, clear of both edges.
         EXPECT_GE(a[i].at, horizon / 8);
         EXPECT_LT(a[i].at, horizon);
@@ -255,10 +257,12 @@ TEST(ChaosProfile, SingleKindProfilesExpandTheirKind)
         for (const ChaosEvent &ev :
              expandChaosProfile(profile, 3, horizon, 9, tuning)) {
             EXPECT_EQ(ev.kind, kind);
-            if (kind == ChaosKind::Stall)
+            if (kind == ChaosKind::Stall) {
                 EXPECT_GT(ev.durationTicks, 0u);
-            if (kind == ChaosKind::FaultRamp)
+            }
+            if (kind == ChaosKind::FaultRamp) {
                 EXPECT_GT(ev.faultProb, 0.0);
+            }
         }
     }
 }

@@ -176,8 +176,9 @@ TEST(LogRetirement, AppendsBurnPastBadSlotsAndRecoveryScansSkipThem)
             EXPECT_EQ(seen[i].txId, want.txId) << when;
             EXPECT_EQ(seen[i].commitId, want.commitId) << when;
             EXPECT_EQ(seen[i].words, want.words) << when;
-            if (i > 0)
+            if (i > 0) {
                 EXPECT_GT(seen[i].seq, seen[i - 1].seq) << when;
+            }
         }
     };
     check_scan(log, "pre-crash scan");

@@ -38,9 +38,16 @@ TEST(StatSet, ReferencesSurviveLaterInsertions)
     Counter &early = s.counter("early");
     ++early;
 
+    // Built by appending: `"c" + std::to_string(i)` inlines a copy that
+    // GCC 12's -Wrestrict misreads as a possible self-overlap.
+    auto name = [](int i) {
+        std::string n = "c";
+        n += std::to_string(i);
+        return n;
+    };
     std::vector<Counter *> later;
     for (int i = 0; i < 1000; ++i)
-        later.push_back(&s.counter("c" + std::to_string(i)));
+        later.push_back(&s.counter(name(i)));
 
     // The early reference still aliases the registry entry.
     ++early;
@@ -49,7 +56,7 @@ TEST(StatSet, ReferencesSurviveLaterInsertions)
 
     // And the later pointers also stayed put.
     for (int i = 0; i < 1000; ++i)
-        EXPECT_EQ(&s.counter("c" + std::to_string(i)), later[i]);
+        EXPECT_EQ(&s.counter(name(i)), later[i]);
 }
 
 // Bumps through a cached reference and bumps through by-name lookup
