@@ -31,6 +31,47 @@ smallCheckConfig(unsigned numCores, std::uint64_t seed)
     return cfg;
 }
 
+std::vector<std::unique_ptr<Workload>>
+makeCheckWorkloads(System &sys, const std::string &name)
+{
+    WorkloadParams params;
+    params.valueBytes = 64;
+    params.scale = 128;
+    auto factory = makeWorkload(name, params);
+    std::vector<std::unique_ptr<Workload>> wls;
+    for (unsigned c = 0; c < sys.config().numCores; ++c) {
+        wls.push_back(factory(sys, c));
+        wls.back()->setup();
+    }
+    return wls;
+}
+
+std::string
+verifyRecovered(std::vector<std::unique_ptr<Workload>> &wls,
+                const std::string &when)
+{
+    for (std::size_t c = 0; c < wls.size(); ++c) {
+        bool ok = wls[c]->verify();
+        if (!ok && wls[c]->hasPendingShadow()) {
+            wls[c]->applyPendingShadow();
+            ok = wls[c]->verify();
+        } else {
+            wls[c]->dropPendingShadow();
+        }
+        if (!ok) {
+            return "core " + std::to_string(c) +
+                   ": committed state lost or phantom data surfaced (" +
+                   when + ")";
+        }
+        std::string why;
+        if (!wls[c]->verifyStructure(&why)) {
+            return "core " + std::to_string(c) +
+                   ": structural invariant broken (" + when + "): " + why;
+        }
+    }
+    return "";
+}
+
 OrderCheckReport
 runOrderCheck(const OrderCheckOptions &opt)
 {
@@ -46,15 +87,7 @@ runOrderCheck(const OrderCheckOptions &opt)
         sys.nvm().faults().setTornWrites(true);
     }
 
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(opt.workload, params);
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    auto wls = makeCheckWorkloads(sys, opt.workload);
 
     // Warmup runs untracked: rules judge the steady state, and setup /
     // cold-cache traffic would only add noise to the counters.

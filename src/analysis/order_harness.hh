@@ -5,20 +5,23 @@
  * workload through warmup + measured transactions, finalize (so
  * drain/GC/truncation paths fire their rules too) and report.
  *
- * Used by the hoop_ordercheck CLI and by the analyzer tests; the same
- * small machine configuration is shared with the crash explorer so a
- * rule exercised here is exercised under crash schedules too.
+ * Used by the hoop_ordercheck CLI and by the analyzer tests. The small
+ * machine, its workloads and the post-recovery oracle defined here are
+ * shared with the other checkers (crash explorer, soak, fleet shards),
+ * so a rule exercised here is exercised under crash schedules too.
  */
 
 #ifndef HOOPNVM_ANALYSIS_ORDER_HARNESS_HH
 #define HOOPNVM_ANALYSIS_ORDER_HARNESS_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/ordering_tracker.hh"
 #include "sim/system_config.hh"
+#include "workloads/workload.hh"
 
 namespace hoopnvm
 {
@@ -71,6 +74,25 @@ struct OrderCheckReport
  * maintenance boundaries inside short windows.
  */
 SystemConfig smallCheckConfig(unsigned numCores, std::uint64_t seed);
+
+/**
+ * One set-up workload @p name per core of @p sys, sized for the
+ * checkers: 64 B values over small structures (scale 128).
+ */
+std::vector<std::unique_ptr<Workload>>
+makeCheckWorkloads(System &sys, const std::string &name);
+
+/**
+ * The checkers' post-recovery oracle, core by core: committed-shadow
+ * equality — a crashed transaction's pending shadow update is tried
+ * both ways, since a crash inside its commit may legally keep or drop
+ * it — then the workload's structural invariants.
+ * @return "" when every core holds, else "core <c>: ..." describing
+ * the first core that does not (@p when names the check point).
+ */
+std::string
+verifyRecovered(std::vector<std::unique_ptr<Workload>> &wls,
+                const std::string &when);
 
 /** Run one tracked workload per @p opt and report. */
 OrderCheckReport runOrderCheck(const OrderCheckOptions &opt);

@@ -90,6 +90,13 @@ struct OrderingRuleReport
     std::uint64_t violations = 0;
 };
 
+/**
+ * Sum @p from into @p into rule by rule (matched by name); rules not
+ * yet in @p into are appended in @p from's order.
+ */
+void mergeRuleReports(std::vector<OrderingRuleReport> *into,
+                      const std::vector<OrderingRuleReport> &from);
+
 /** Whole-run counters ("persisted twice" / drain-overhead analysis). */
 struct OrderingCounters
 {

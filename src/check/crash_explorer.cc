@@ -1,13 +1,12 @@
 #include "check/crash_explorer.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "analysis/order_harness.hh"
+#include "check/shrink.hh"
 #include "check/soak.hh" // installRuntimeFaults
 #include "common/errors.hh"
 #include "sim/system.hh"
-#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -33,15 +32,6 @@ configFor(const CrashSchedule &sched)
     return cfg;
 }
 
-WorkloadParams
-paramsFor()
-{
-    WorkloadParams p;
-    p.valueBytes = 64;
-    p.scale = 128;
-    return p;
-}
-
 unsigned
 kindIndex(CrashPointKind k)
 {
@@ -61,12 +51,7 @@ runSchedule(const CrashSchedule &sched)
     if (sched.tornWrites)
         sys.nvm().faults().setTornWrites(true);
 
-    auto factory = makeWorkload(sched.workload, paramsFor());
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    auto wls = makeCheckWorkloads(sys, sched.workload);
 
     std::uint64_t txi = 0;
     for (; txi < sched.warmupTx; ++txi) {
@@ -98,10 +83,7 @@ runSchedule(const CrashSchedule &sched)
         sys.armOrdering(nullptr);
     };
 
-    // Post-recovery oracle. The crashed transaction's shadow update may
-    // still be pending (the crash hit inside its commit, where both
-    // durable and dropped are legal outcomes): strict verify first,
-    // then retry with the pending update adopted. The legacy
+    // Post-recovery oracle (verifyRecovered). The legacy
     // damage-at-rest regime (mediaFaultProb) skips the oracles —
     // corrupting occupied cells legitimately vetoes committed
     // transactions, so exact equality is not the contract there. The
@@ -113,35 +95,13 @@ runSchedule(const CrashSchedule &sched)
                 wl->dropPendingShadow();
             return true;
         }
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            bool ok = wls[c]->verify();
-            if (!ok && wls[c]->hasPendingShadow()) {
-                wls[c]->applyPendingShadow();
-                ok = wls[c]->verify();
-            } else {
-                wls[c]->dropPendingShadow();
-            }
-            if (!ok) {
-                res.violated = true;
-                res.detail = std::string(schemeToken(sched.scheme)) +
-                             "/" + sched.workload + " core " +
-                             std::to_string(c) +
-                             ": committed state lost or phantom data "
-                             "surfaced (" + when + ")";
-                return false;
-            }
-            std::string why;
-            if (!wls[c]->verifyStructure(&why)) {
-                res.violated = true;
-                res.detail = std::string(schemeToken(sched.scheme)) +
-                             "/" + sched.workload + " core " +
-                             std::to_string(c) +
-                             ": structural invariant broken (" + when +
-                             "): " + why;
-                return false;
-            }
-        }
-        return true;
+        const std::string v = verifyRecovered(wls, when);
+        if (v.empty())
+            return true;
+        res.violated = true;
+        res.detail = std::string(schemeToken(sched.scheme)) + "/" +
+                     sched.workload + " " + v;
+        return false;
     };
 
     auto runWindow = [&]() {
@@ -238,84 +198,51 @@ CrashSchedule
 shrink(const CrashSchedule &failing, std::string *detail,
        const std::function<void(const CrashSchedule &)> &progress)
 {
-    CrashSchedule best = failing;
-    int budget = 48;
-
-    auto attempt = [&](const CrashSchedule &cand) -> bool {
-        if (budget <= 0)
-            return false;
-        --budget;
-        if (progress)
-            progress(cand);
-        const ScheduleResult r = runSchedule(cand);
-        if (!r.violated)
-            return false;
-        best = cand;
-        if (detail)
-            *detail = r.detail;
-        return true;
-    };
-
-    bool improved = true;
-    while (improved && budget > 0) {
-        improved = false;
-
+    constexpr int kShrinkBudget = 48;
+    const std::vector<ShrinkMutator<CrashSchedule>> mutators = {
         // Drop whole steps.
-        for (std::size_t i = 0; best.steps.size() > 1 &&
-                                i < best.steps.size();
-             ++i) {
-            CrashSchedule cand = best;
-            cand.steps.erase(cand.steps.begin() +
-                             static_cast<long>(i));
-            if (attempt(cand)) {
-                improved = true;
-                break;
+        [](const CrashSchedule &s) {
+            std::vector<CrashSchedule> cands;
+            if (s.steps.size() <= 1)
+                return cands;
+            for (std::size_t i = 0; i < s.steps.size(); ++i) {
+                cands.push_back(s);
+                cands.back().steps.erase(cands.back().steps.begin() +
+                                         static_cast<long>(i));
             }
-        }
-        if (improved)
-            continue;
-
-        // Shrink the warmup prefix.
-        if (best.warmupTx > 0) {
-            CrashSchedule cand = best;
-            cand.warmupTx /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        // Shrink the crash window.
-        if (best.runTx > 1) {
-            CrashSchedule cand = best;
-            cand.runTx = std::max<std::uint64_t>(1, cand.runTx / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        // Pull crash points earlier.
-        for (std::size_t i = 0; i < best.steps.size(); ++i) {
-            if (best.steps[i].countdown > 1) {
-                CrashSchedule cand = best;
-                cand.steps[i].countdown /= 2;
-                if (attempt(cand)) {
-                    improved = true;
-                    break;
+            return cands;
+        },
+        // Shrink the warmup prefix, then the crash window.
+        halveField(&CrashSchedule::warmupTx),
+        halveField(&CrashSchedule::runTx, std::uint64_t{1}),
+        // Pull crash points earlier, each step's primary crash before
+        // its crash-during-recovery.
+        [](const CrashSchedule &s) {
+            std::vector<CrashSchedule> cands;
+            for (std::size_t i = 0; i < s.steps.size(); ++i) {
+                if (s.steps[i].countdown > 1) {
+                    cands.push_back(s);
+                    cands.back().steps[i].countdown /= 2;
+                }
+                if (s.steps[i].recoveryCountdown > 1) {
+                    cands.push_back(s);
+                    cands.back().steps[i].recoveryCountdown /= 2;
                 }
             }
-            if (best.steps[i].recoveryCountdown > 1) {
-                CrashSchedule cand = best;
-                cand.steps[i].recoveryCountdown /= 2;
-                if (attempt(cand)) {
-                    improved = true;
-                    break;
-                }
-            }
-        }
-    }
-    return best;
+            return cands;
+        },
+    };
+    return greedyShrink(
+        failing, kShrinkBudget,
+        [&](const CrashSchedule &cand) {
+            if (progress)
+                progress(cand);
+            const ScheduleResult r = runSchedule(cand);
+            if (r.violated && detail)
+                *detail = r.detail;
+            return r.violated;
+        },
+        mutators);
 }
 
 ExploreReport
@@ -323,42 +250,20 @@ explore(const ExploreOptions &opt)
 {
     ExploreReport rep;
 
-    CrashSchedule base;
-    base.scheme = opt.scheme;
-    base.workload = opt.workload;
-    base.seed = opt.seed;
-    base.numCores = opt.numCores;
-    base.warmupTx = opt.warmupTx;
-    base.runTx = opt.runTx;
-    base.recoverThreads = opt.recoverThreads;
+    CrashSchedule base = opt.base;
+    base.steps.clear();
     // A broken commit fence is only observable when the in-flight
     // record can actually tear.
-    base.tornWrites = opt.tornWrites || opt.breakCommitFence;
-    base.mediaFaultProb = opt.mediaFaultProb;
-    base.runtimeFaultProb = opt.runtimeFaultProb;
-    base.breakCommitFence = opt.breakCommitFence;
-    base.ordering = opt.ordering;
+    base.tornWrites = base.tornWrites || base.breakCommitFence;
 
     // Sum per-rule outcomes across schedules (merged by rule name): a
     // rule with zero fires over the whole sweep is dead, and every
     // violation counts even when its schedule's crash missed the
     // vulnerable window.
     auto absorbOrdering = [&rep](const ScheduleResult &r) {
-        for (const OrderingRuleReport &rr : r.orderingRules) {
-            auto it = std::find_if(
-                rep.orderingRules.begin(), rep.orderingRules.end(),
-                [&rr](const OrderingRuleReport &have) {
-                    return have.name == rr.name;
-                });
-            if (it == rep.orderingRules.end()) {
-                rep.orderingRules.push_back(rr);
-            } else {
-                it->fires += rr.fires;
-                it->depsChecked += rr.depsChecked;
-                it->violations += rr.violations;
-            }
+        mergeRuleReports(&rep.orderingRules, r.orderingRules);
+        for (const OrderingRuleReport &rr : r.orderingRules)
             rep.orderingViolations += rr.violations;
-        }
         for (const OrderingViolation &v : r.orderingTraces) {
             if (rep.orderingTraces.size() < 50)
                 rep.orderingTraces.push_back(v);

@@ -41,38 +41,17 @@ namespace hoopnvm
 /** Parameters of one exploration sweep (one scheme x one workload). */
 struct ExploreOptions
 {
-    Scheme scheme = Scheme::Hoop;
-    std::string workload = "vector";
-    std::uint64_t seed = 42;
+    /**
+     * The experiment every explored schedule shares; its steps are
+     * ignored (the sweep gives each schedule one crash step).
+     * With ordering armed, rule checks run continuously: a broken
+     * fence is reported as a violated rule even when no schedule's
+     * crash lands in the vulnerable window.
+     */
+    CrashSchedule base;
 
     /** Maximum schedules to run, split across the boundary classes. */
     std::uint64_t budget = 100;
-
-    unsigned numCores = 2;
-    std::uint64_t warmupTx = 10;
-    std::uint64_t runTx = 40;
-    unsigned recoverThreads = 2;
-
-    bool tornWrites = false;
-    double mediaFaultProb = 0.0;
-
-    /**
-     * Runtime media-fault regime (see CrashSchedule::runtimeFaultProb):
-     * fault tolerance enabled, seeded wear-out + transient faults, and
-     * the oracles stay strict.
-     */
-    double runtimeFaultProb = 0.0;
-
-    /** Debug knob: commit acks before the record is durable. */
-    bool breakCommitFence = false;
-
-    /**
-     * Arm the persistency-ordering analyzer on every schedule. Rule
-     * checks run continuously, so a broken fence is reported as a
-     * violated rule even when no schedule's crash lands in the
-     * vulnerable window.
-     */
-    bool ordering = false;
 
     /** Boundary classes to explore; empty = all five. */
     std::vector<CrashPointKind> kinds;

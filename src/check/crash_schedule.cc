@@ -1,9 +1,8 @@
 #include "check/crash_schedule.hh"
 
-#include <cctype>
-#include <cstdlib>
 #include <sstream>
 
+#include "check/spec_json.hh"
 #include "common/json.hh"
 
 namespace hoopnvm
@@ -23,122 +22,6 @@ constexpr SchemeToken kSchemeTokens[] = {
     {Scheme::OptRedo, "redo"},  {Scheme::OptUndo, "undo"},
     {Scheme::Osp, "osp"},       {Scheme::Lsm, "lsm"},
     {Scheme::Lad, "lad"},
-};
-
-/**
- * Minimal JSON reader for the schedule grammar: objects, arrays,
- * strings (no escapes beyond \" and \\), numbers, booleans. Enough to
- * round-trip toJson() output without an external dependency.
- */
-class JsonParser
-{
-  public:
-    explicit JsonParser(const std::string &text) : s_(text) {}
-
-    bool fail(const std::string &msg)
-    {
-        if (err_.empty())
-            err_ = msg + " near offset " + std::to_string(pos_);
-        return false;
-    }
-
-    const std::string &error() const { return err_; }
-
-    void skipWs()
-    {
-        while (pos_ < s_.size() &&
-               std::isspace(static_cast<unsigned char>(s_[pos_])))
-            ++pos_;
-    }
-
-    bool consume(char c)
-    {
-        skipWs();
-        if (pos_ >= s_.size() || s_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool peekIs(char c)
-    {
-        skipWs();
-        return pos_ < s_.size() && s_[pos_] == c;
-    }
-
-    bool parseString(std::string *out)
-    {
-        if (!consume('"'))
-            return false;
-        out->clear();
-        while (pos_ < s_.size() && s_[pos_] != '"') {
-            if (s_[pos_] == '\\' && pos_ + 1 < s_.size())
-                ++pos_;
-            out->push_back(s_[pos_++]);
-        }
-        if (pos_ >= s_.size())
-            return fail("unterminated string");
-        ++pos_;
-        return true;
-    }
-
-    bool parseNumber(double *out)
-    {
-        skipWs();
-        const char *start = s_.c_str() + pos_;
-        char *end = nullptr;
-        *out = std::strtod(start, &end);
-        if (end == start)
-            return fail("expected number");
-        pos_ += static_cast<std::size_t>(end - start);
-        return true;
-    }
-
-    bool parseBool(bool *out)
-    {
-        skipWs();
-        if (s_.compare(pos_, 4, "true") == 0) {
-            *out = true;
-            pos_ += 4;
-            return true;
-        }
-        if (s_.compare(pos_, 5, "false") == 0) {
-            *out = false;
-            pos_ += 5;
-            return true;
-        }
-        return fail("expected boolean");
-    }
-
-    /**
-     * Walk the members of an object, invoking @p member for each key;
-     * the callback must consume the value and return success.
-     */
-    template <typename Fn>
-    bool parseObject(Fn member)
-    {
-        if (!consume('{'))
-            return false;
-        if (peekIs('}'))
-            return consume('}');
-        while (true) {
-            std::string key;
-            if (!parseString(&key) || !consume(':'))
-                return false;
-            if (!member(key))
-                return fail("bad value for key \"" + key + "\"");
-            if (peekIs(',')) {
-                consume(',');
-                continue;
-            }
-            return consume('}');
-        }
-    }
-
-  private:
-    const std::string &s_;
-    std::size_t pos_ = 0;
-    std::string err_;
 };
 
 } // namespace
@@ -216,48 +99,41 @@ CrashSchedule::fromJson(const std::string &text, CrashSchedule *out,
                         std::string *err)
 {
     *out = CrashSchedule{};
-    JsonParser p(text);
-    std::string str;
-    double num = 0;
+    SpecParser p(text);
+
+    auto step = [&] {
+        CrashStep st;
+        const bool ok = p.parseObject([&](const std::string &key) {
+            if (key == "kind") {
+                return p.parseToken(&st.kind, crashPointKindFromToken,
+                                    "crash-point kind");
+            }
+            if (key == "countdown")
+                return p.parseUnsigned(&st.countdown);
+            if (key == "recovery_countdown")
+                return p.parseUnsigned(&st.recoveryCountdown);
+            return p.fail("unknown step key \"" + key + "\"");
+        });
+        if (ok)
+            out->steps.push_back(st);
+        return ok;
+    };
 
     const bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "scheme") {
-            return p.parseString(&str) &&
-                   (schemeFromToken(str, &out->scheme) ||
-                    p.fail("unknown scheme \"" + str + "\""));
-        }
+        if (key == "scheme")
+            return p.parseToken(&out->scheme, schemeFromToken, "scheme");
         if (key == "workload")
             return p.parseString(&out->workload);
-        if (key == "seed") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->seed = static_cast<std::uint64_t>(num);
-            return true;
-        }
-        if (key == "num_cores") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->numCores = static_cast<unsigned>(num);
-            return true;
-        }
-        if (key == "warmup_tx") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->warmupTx = static_cast<std::uint64_t>(num);
-            return true;
-        }
-        if (key == "run_tx") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->runTx = static_cast<std::uint64_t>(num);
-            return true;
-        }
-        if (key == "recover_threads") {
-            if (!p.parseNumber(&num))
-                return false;
-            out->recoverThreads = static_cast<unsigned>(num);
-            return true;
-        }
+        if (key == "seed")
+            return p.parseUnsigned(&out->seed);
+        if (key == "num_cores")
+            return p.parseUnsigned(&out->numCores);
+        if (key == "warmup_tx")
+            return p.parseUnsigned(&out->warmupTx);
+        if (key == "run_tx")
+            return p.parseUnsigned(&out->runTx);
+        if (key == "recover_threads")
+            return p.parseUnsigned(&out->recoverThreads);
         if (key == "torn_writes")
             return p.parseBool(&out->tornWrites);
         if (key == "media_fault_prob")
@@ -268,48 +144,8 @@ CrashSchedule::fromJson(const std::string &text, CrashSchedule *out,
             return p.parseBool(&out->breakCommitFence);
         if (key == "ordering")
             return p.parseBool(&out->ordering);
-        if (key == "steps") {
-            if (!p.consume('['))
-                return false;
-            if (p.peekIs(']'))
-                return p.consume(']');
-            while (true) {
-                CrashStep step;
-                const bool step_ok =
-                    p.parseObject([&](const std::string &sk) {
-                        if (sk == "kind") {
-                            return p.parseString(&str) &&
-                                   (crashPointKindFromToken(str,
-                                                            &step.kind) ||
-                                    p.fail("unknown crash-point kind \"" +
-                                           str + "\""));
-                        }
-                        if (sk == "countdown") {
-                            if (!p.parseNumber(&num))
-                                return false;
-                            step.countdown =
-                                static_cast<std::uint64_t>(num);
-                            return true;
-                        }
-                        if (sk == "recovery_countdown") {
-                            if (!p.parseNumber(&num))
-                                return false;
-                            step.recoveryCountdown =
-                                static_cast<std::uint64_t>(num);
-                            return true;
-                        }
-                        return p.fail("unknown step key \"" + sk + "\"");
-                    });
-                if (!step_ok)
-                    return false;
-                out->steps.push_back(step);
-                if (p.peekIs(',')) {
-                    p.consume(',');
-                    continue;
-                }
-                return p.consume(']');
-            }
-        }
+        if (key == "steps")
+            return p.parseArray(step);
         return p.fail("unknown key \"" + key + "\"");
     });
 

@@ -1,15 +1,14 @@
 #include "check/soak.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "analysis/order_harness.hh"
+#include "check/shrink.hh"
 #include "check/spec_json.hh"
 #include "common/errors.hh"
 #include "common/json.hh"
 #include "fleet/client_policy.hh"
 #include "sim/system.hh"
-#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -78,46 +77,27 @@ SoakSpec::fromJson(const std::string &text, SoakSpec *out,
 {
     *out = SoakSpec{};
     SpecParser p(text);
-    std::string str;
-    double num = 0;
-
-    auto u64 = [&](std::uint64_t *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<std::uint64_t>(num);
-        return true;
-    };
-    auto u32 = [&](unsigned *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<unsigned>(num);
-        return true;
-    };
-
     const bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "scheme") {
-            return p.parseString(&str) &&
-                   (schemeFromToken(str, &out->scheme) ||
-                    p.fail("unknown scheme \"" + str + "\""));
-        }
+        if (key == "scheme")
+            return p.parseToken(&out->scheme, schemeFromToken, "scheme");
         if (key == "workload")
             return p.parseString(&out->workload);
         if (key == "seed")
-            return u64(&out->seed);
+            return p.parseUnsigned(&out->seed);
         if (key == "num_cores")
-            return u32(&out->numCores);
+            return p.parseUnsigned(&out->numCores);
         if (key == "warmup_tx")
-            return u64(&out->warmupTx);
+            return p.parseUnsigned(&out->warmupTx);
         if (key == "phases")
-            return u32(&out->phases);
+            return p.parseUnsigned(&out->phases);
         if (key == "tx_per_phase")
-            return u64(&out->txPerPhase);
+            return p.parseUnsigned(&out->txPerPhase);
         if (key == "fault_prob")
             return p.parseNumber(&out->faultProb);
         if (key == "escalation")
             return p.parseNumber(&out->escalation);
         if (key == "recover_threads")
-            return u32(&out->recoverThreads);
+            return p.parseUnsigned(&out->recoverThreads);
         return p.fail("unknown key \"" + key + "\"");
     });
 
@@ -136,49 +116,21 @@ runSoak(const SoakSpec &spec, const SoakProgress &progress)
     System sys(cfg, spec.scheme);
     sys.nvm().faults().setSeed(spec.seed ^ 0x7ea55eedULL);
 
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(spec.workload, params);
-    std::vector<std::unique_ptr<Workload>> wls;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        wls.push_back(factory(sys, c));
-        wls.back()->setup();
-    }
+    auto wls = makeCheckWorkloads(sys, spec.workload);
 
     const std::string cell =
         std::string(schemeToken(spec.scheme)) + "/" + spec.workload;
 
-    // Same post-recovery oracle as the crash explorer: strict verify
-    // with the pending-shadow ambiguity resolved both ways, then the
-    // workload's structural invariants. Runtime faults never touch
-    // occupied cells, so committed data must always survive.
+    // Same post-recovery oracle as the crash explorer. Runtime faults
+    // never touch occupied cells, so committed data must always
+    // survive.
     auto oracle = [&](const std::string &when) -> bool {
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            bool ok = wls[c]->verify();
-            if (!ok && wls[c]->hasPendingShadow()) {
-                wls[c]->applyPendingShadow();
-                ok = wls[c]->verify();
-            } else {
-                wls[c]->dropPendingShadow();
-            }
-            if (!ok) {
-                res.violated = true;
-                res.detail = cell + " core " + std::to_string(c) +
-                             ": committed state lost or phantom data "
-                             "surfaced (" + when + ")";
-                return false;
-            }
-            std::string why;
-            if (!wls[c]->verifyStructure(&why)) {
-                res.violated = true;
-                res.detail = cell + " core " + std::to_string(c) +
-                             ": structural invariant broken (" + when +
-                             "): " + why;
-                return false;
-            }
-        }
-        return true;
+        const std::string v = verifyRecovered(wls, when);
+        if (v.empty())
+            return true;
+        res.violated = true;
+        res.detail = cell + " " + v;
+        return false;
     };
 
     auto sampleGauges = [&]() {
@@ -257,60 +209,32 @@ SoakSpec
 shrinkSoak(const SoakSpec &failing, std::string *detail,
            const SoakProgress &progress)
 {
-    SoakSpec best = failing;
-    int budget = 32;
-
-    auto attempt = [&](const SoakSpec &cand) -> bool {
-        if (budget <= 0)
-            return false;
-        --budget;
-        const SoakResult r = runSoak(cand, progress);
-        if (!r.violated)
-            return false;
-        best = cand;
-        if (detail)
-            *detail = r.detail;
-        return true;
-    };
-
-    bool improved = true;
-    while (improved && budget > 0) {
-        improved = false;
-
-        if (best.phases > 1) {
-            SoakSpec cand = best;
-            cand.phases = std::max(1u, cand.phases / 2);
+    constexpr int kShrinkBudget = 32;
+    const std::vector<ShrinkMutator<SoakSpec>> mutators = {
+        [](const SoakSpec &s) -> std::vector<SoakSpec> {
+            if (s.phases <= 1)
+                return {};
+            SoakSpec cand = s;
+            cand.phases = s.phases / 2;
             // Dropping early phases changes which faults exist; keep
             // the ramp's tail by raising the base probability to where
             // the removed phases would have escalated it.
-            for (unsigned p = cand.phases; p < best.phases; ++p)
+            for (unsigned p = cand.phases; p < s.phases; ++p)
                 cand.faultProb *= cand.escalation;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.txPerPhase > 1) {
-            SoakSpec cand = best;
-            cand.txPerPhase = std::max<std::uint64_t>(
-                1, cand.txPerPhase / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.warmupTx > 0) {
-            SoakSpec cand = best;
-            cand.warmupTx /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-    }
-    return best;
+            return {cand};
+        },
+        halveField(&SoakSpec::txPerPhase, std::uint64_t{1}),
+        halveField(&SoakSpec::warmupTx),
+    };
+    return greedyShrink(
+        failing, kShrinkBudget,
+        [&](const SoakSpec &cand) {
+            const SoakResult r = runSoak(cand, progress);
+            if (r.violated && detail)
+                *detail = r.detail;
+            return r.violated;
+        },
+        mutators);
 }
 
 } // namespace hoopnvm

@@ -1,15 +1,15 @@
 /**
  * @file
- * Minimal flat-object JSON reader shared by the replayable-spec
- * grammars (soak specs, fleet specs).
+ * Minimal JSON reader shared by the replayable-spec grammars (crash
+ * schedules, soak specs, fleet specs).
  *
  * Every checking harness serializes its violating experiment to a
  * small JSON object of scalar members so a failure can be re-executed
- * bit-for-bit (`--replay`). The reader here is deliberately tiny: one
- * object, string/number/bool members, no nesting beyond what the
- * specs need — and it reports the byte offset of the first syntax
- * error so a hand-edited reproducer fails loudly instead of silently
- * defaulting fields.
+ * bit-for-bit (`--replay`). The reader here is deliberately tiny:
+ * objects, arrays (a crash schedule's steps), strings (no escapes
+ * beyond \" and \\), numbers and booleans — and it reports the byte
+ * offset of the first syntax error so a hand-edited reproducer fails
+ * loudly instead of silently defaulting fields.
  */
 
 #ifndef HOOPNVM_CHECK_SPEC_JSON_HH
@@ -103,28 +103,72 @@ class SpecParser
         return fail("expected true/false");
     }
 
+    /** Parse a non-negative integer member into @p out. */
+    template <typename T>
+    bool parseUnsigned(T *out)
+    {
+        double num = 0;
+        if (!parseNumber(&num))
+            return false;
+        *out = static_cast<T>(num);
+        return true;
+    }
+
+    /**
+     * Parse a string member and map it through @p fromToken; an
+     * unknown token fails with a message naming @p what.
+     */
+    template <typename T>
+    bool parseToken(T *out, bool (*fromToken)(const std::string &, T *),
+                    const char *what)
+    {
+        std::string tok;
+        return parseString(&tok) &&
+               (fromToken(tok, out) ||
+                fail(std::string("unknown ") + what + " \"" + tok +
+                     "\""));
+    }
+
+    /**
+     * Walk the members of an object, invoking @p member for each key;
+     * the callback must consume the value and return success.
+     */
     template <typename Fn>
     bool parseObject(Fn member)
     {
-        if (!consume('{'))
-            return false;
-        if (peekIs('}'))
-            return consume('}');
-        while (true) {
+        return parseList('{', '}', [&] {
             std::string key;
             if (!parseString(&key) || !consume(':'))
                 return false;
-            if (!member(key))
-                return fail("bad value for key \"" + key + "\"");
-            if (peekIs(',')) {
-                consume(',');
-                continue;
-            }
-            return consume('}');
-        }
+            return member(key) ||
+                   fail("bad value for key \"" + key + "\"");
+        });
+    }
+
+    /** Walk the elements of an array; @p element consumes each one. */
+    template <typename Fn>
+    bool parseArray(Fn element)
+    {
+        return parseList('[', ']', element);
     }
 
   private:
+    template <typename Fn>
+    bool parseList(char open, char close, Fn item)
+    {
+        if (!consume(open))
+            return false;
+        if (peekIs(close))
+            return consume(close);
+        while (true) {
+            if (!item())
+                return false;
+            if (!peekIs(','))
+                return consume(close);
+            consume(',');
+        }
+    }
+
     const std::string &s_;
     std::size_t pos_ = 0;
     std::string err_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 
+#include "check/shrink.hh"
 #include "check/spec_json.hh"
 #include "common/json.hh"
 #include "common/rng.hh"
@@ -90,28 +91,9 @@ FleetSpec::fromJson(const std::string &text, FleetSpec *out,
 {
     *out = FleetSpec{};
     SpecParser p(text);
-    std::string str;
-    double num = 0;
-
-    auto u64 = [&](std::uint64_t *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<std::uint64_t>(num);
-        return true;
-    };
-    auto u32 = [&](unsigned *dst) {
-        if (!p.parseNumber(&num))
-            return false;
-        *dst = static_cast<unsigned>(num);
-        return true;
-    };
-
     const bool ok = p.parseObject([&](const std::string &key) {
-        if (key == "scheme") {
-            return p.parseString(&str) &&
-                   (schemeFromToken(str, &out->scheme) ||
-                    p.fail("unknown scheme \"" + str + "\""));
-        }
+        if (key == "scheme")
+            return p.parseToken(&out->scheme, schemeFromToken, "scheme");
         if (key == "workload")
             return p.parseString(&out->workload);
         if (key == "chaos_profile") {
@@ -121,19 +103,19 @@ FleetSpec::fromJson(const std::string &text, FleetSpec *out,
                            out->chaosProfile + "\""));
         }
         if (key == "seed")
-            return u64(&out->seed);
+            return p.parseUnsigned(&out->seed);
         if (key == "shards")
-            return u32(&out->shards);
+            return p.parseUnsigned(&out->shards);
         if (key == "cores_per_shard")
-            return u32(&out->coresPerShard);
+            return p.parseUnsigned(&out->coresPerShard);
         if (key == "requests")
-            return u64(&out->requests);
+            return p.parseUnsigned(&out->requests);
         if (key == "warmup_tx")
-            return u64(&out->warmupTx);
+            return p.parseUnsigned(&out->warmupTx);
         if (key == "recover_threads")
-            return u32(&out->recoverThreads);
+            return p.parseUnsigned(&out->recoverThreads);
         if (key == "max_attempts")
-            return u32(&out->maxAttempts);
+            return p.parseUnsigned(&out->maxAttempts);
         if (key == "backoff_base_ns")
             return p.parseNumber(&out->backoffBaseNs);
         if (key == "deadline_ns")
@@ -143,15 +125,15 @@ FleetSpec::fromJson(const std::string &text, FleetSpec *out,
         if (key == "think_ns")
             return p.parseNumber(&out->thinkNs);
         if (key == "tenants")
-            return u32(&out->tenants);
+            return p.parseUnsigned(&out->tenants);
         if (key == "tenant_theta")
             return p.parseNumber(&out->tenantTheta);
         if (key == "connections")
-            return u32(&out->connections);
+            return p.parseUnsigned(&out->connections);
         if (key == "churn_prob")
             return p.parseNumber(&out->churnProb);
         if (key == "chaos_events_per_shard")
-            return u32(&out->chaosEventsPerShard);
+            return p.parseUnsigned(&out->chaosEventsPerShard);
         if (key == "fault_prob")
             return p.parseNumber(&out->faultProb);
         if (key == "inject_ack_before_durable")
@@ -496,64 +478,22 @@ FleetSpec
 shrinkFleet(const FleetSpec &failing, std::string *detail,
             const FleetProgress &progress)
 {
-    FleetSpec best = failing;
-    int budget = 24;
-
-    auto attempt = [&](const FleetSpec &cand) -> bool {
-        if (budget <= 0)
-            return false;
-        --budget;
-        const FleetResult r = runFleet(cand, progress);
-        if (!r.violated)
-            return false;
-        best = cand;
-        if (detail)
-            *detail = r.detail;
-        return true;
+    constexpr int kShrinkBudget = 24;
+    const std::vector<ShrinkMutator<FleetSpec>> mutators = {
+        halveField(&FleetSpec::requests, std::uint64_t{16}),
+        halveField(&FleetSpec::shards, 1u),
+        halveField(&FleetSpec::chaosEventsPerShard),
+        halveField(&FleetSpec::warmupTx),
     };
-
-    bool improved = true;
-    while (improved && budget > 0) {
-        improved = false;
-
-        if (best.requests > 16) {
-            FleetSpec cand = best;
-            cand.requests = std::max<std::uint64_t>(16,
-                                                    cand.requests / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.shards > 1) {
-            FleetSpec cand = best;
-            cand.shards = std::max(1u, cand.shards / 2);
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.chaosEventsPerShard > 0) {
-            FleetSpec cand = best;
-            cand.chaosEventsPerShard /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-
-        if (best.warmupTx > 0) {
-            FleetSpec cand = best;
-            cand.warmupTx /= 2;
-            if (attempt(cand)) {
-                improved = true;
-                continue;
-            }
-        }
-    }
-    return best;
+    return greedyShrink(
+        failing, kShrinkBudget,
+        [&](const FleetSpec &cand) {
+            const FleetResult r = runFleet(cand, progress);
+            if (r.violated && detail)
+                *detail = r.detail;
+            return r.violated;
+        },
+        mutators);
 }
 
 } // namespace hoopnvm

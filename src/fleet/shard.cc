@@ -6,7 +6,6 @@
 #include "check/soak.hh"
 #include "common/errors.hh"
 #include "fleet/client_policy.hh"
-#include "workloads/registry.hh"
 
 namespace hoopnvm
 {
@@ -27,14 +26,7 @@ FleetShard::FleetShard(unsigned id, const ShardConfig &cfg)
     if (cfg_.injectAckBeforeDurable)
         sys_->nvm().faults().setTornWrites(true);
 
-    WorkloadParams params;
-    params.valueBytes = 64;
-    params.scale = 128;
-    auto factory = makeWorkload(cfg_.workload, params);
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        wls_.push_back(factory(*sys_, c));
-        wls_.back()->setup();
-    }
+    wls_ = makeCheckWorkloads(*sys_, cfg_.workload);
 }
 
 FleetShard::~FleetShard() = default;
@@ -131,33 +123,12 @@ FleetShard::admit(Tick queueDepth)
 bool
 FleetShard::oracle(const std::string &when, std::string *violation)
 {
-    for (CoreId c = 0; c < cfg_.numCores; ++c) {
-        bool ok = wls_[c]->verify();
-        if (!ok && wls_[c]->hasPendingShadow()) {
-            wls_[c]->applyPendingShadow();
-            ok = wls_[c]->verify();
-        } else {
-            wls_[c]->dropPendingShadow();
-        }
-        if (!ok) {
-            if (violation && violation->empty())
-                *violation = "shard " + std::to_string(id_) + " core " +
-                             std::to_string(c) +
-                             ": committed state lost or phantom data "
-                             "surfaced (" + when + ")";
-            return false;
-        }
-        std::string why;
-        if (!wls_[c]->verifyStructure(&why)) {
-            if (violation && violation->empty())
-                *violation = "shard " + std::to_string(id_) + " core " +
-                             std::to_string(c) +
-                             ": structural invariant broken (" + when +
-                             "): " + why;
-            return false;
-        }
-    }
-    return true;
+    const std::string v = verifyRecovered(wls_, when);
+    if (v.empty())
+        return true;
+    if (violation && violation->empty())
+        *violation = "shard " + std::to_string(id_) + " " + v;
+    return false;
 }
 
 void

@@ -89,8 +89,8 @@ class ExplorerSchemes : public ::testing::TestWithParam<Scheme>
 TEST_P(ExplorerSchemes, CrashDuringRecoveryIsSurvivable)
 {
     ExploreOptions opt;
-    opt.scheme = GetParam();
-    opt.workload = "hashmap";
+    opt.base.scheme = GetParam();
+    opt.base.workload = "hashmap";
     opt.budget = 6;
     opt.kinds = {CrashPointKind::RecoveryStep};
 
@@ -98,34 +98,34 @@ TEST_P(ExplorerSchemes, CrashDuringRecoveryIsSurvivable)
     const unsigned k =
         static_cast<unsigned>(CrashPointKind::RecoveryStep);
     ASSERT_GT(rep.eventsProfiled[k], 0u)
-        << schemeName(opt.scheme)
+        << schemeName(opt.base.scheme)
         << " recovery exposes no crash points";
     EXPECT_GT(rep.schedulesRun, 0u);
     EXPECT_GT(rep.recoveryCrashesFired, 0u)
-        << schemeName(opt.scheme)
+        << schemeName(opt.base.scheme)
         << " never crashed inside recovery";
     EXPECT_TRUE(rep.violations.empty())
-        << schemeName(opt.scheme) << ": "
+        << schemeName(opt.base.scheme) << ": "
         << rep.violations.front().detail;
 }
 
 TEST_P(ExplorerSchemes, GcMigrationCrashIsSurvivable)
 {
     ExploreOptions opt;
-    opt.scheme = GetParam();
-    opt.workload = "hashmap";
+    opt.base.scheme = GetParam();
+    opt.base.workload = "hashmap";
     opt.budget = 6;
     opt.kinds = {CrashPointKind::GcStep};
 
     const ExploreReport rep = explore(opt);
     const unsigned k = static_cast<unsigned>(CrashPointKind::GcStep);
     ASSERT_GT(rep.eventsProfiled[k], 0u)
-        << schemeName(opt.scheme)
+        << schemeName(opt.base.scheme)
         << " exposes no GC/checkpoint crash points";
     EXPECT_GT(rep.firedPerKind[k], 0u)
-        << schemeName(opt.scheme) << " never crashed at a GC step";
+        << schemeName(opt.base.scheme) << " never crashed at a GC step";
     EXPECT_TRUE(rep.violations.empty())
-        << schemeName(opt.scheme) << ": "
+        << schemeName(opt.base.scheme) << ": "
         << rep.violations.front().detail;
 }
 
@@ -145,8 +145,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Explorer, HoopCleanSweepAllClasses)
 {
     ExploreOptions opt;
-    opt.scheme = Scheme::Hoop;
-    opt.workload = "btree";
+    opt.base.scheme = Scheme::Hoop;
+    opt.base.workload = "btree";
     opt.budget = 25;
 
     const ExploreReport rep = explore(opt);
@@ -168,10 +168,10 @@ TEST(Explorer, BrokenCommitFenceYieldsReplayableReproducer)
     // the commit record is durable — and shrink the failure to a small
     // deterministic reproducer.
     ExploreOptions opt;
-    opt.scheme = Scheme::Hoop;
-    opt.workload = "vector";
+    opt.base.scheme = Scheme::Hoop;
+    opt.base.workload = "vector";
     opt.budget = 10;
-    opt.breakCommitFence = true; // implies torn writes
+    opt.base.breakCommitFence = true; // implies torn writes
     opt.kinds = {CrashPointKind::Store, CrashPointKind::CommitRecord};
 
     const ExploreReport rep = explore(opt);

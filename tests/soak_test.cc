@@ -67,9 +67,9 @@ TEST(SoakSpec, RejectsMalformedInput)
 
 TEST(SoakShrink, ShrinksAViolatingCellToAReplayableSpec)
 {
-    // A fault ramp this steep (45% of free words faulty in phase 0)
-    // loses committed data on hoop/vector; the harness must shrink the
-    // cell and write a reproducer that replays the violation.
+    // Under a fault ramp this steep (45% of free words faulty in phase
+    // 0) hoop/vector fails the post-recovery oracle; the harness must
+    // shrink the cell to a reproducer that replays the violation.
     SoakSpec spec;
     spec.scheme = Scheme::Hoop;
     spec.workload = "vector";

@@ -11,18 +11,14 @@
  * 3 = per-schedule watchdog budget exceeded.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/crash_explorer.hh"
 #include "check/watchdog.hh"
 #include "stats/trace.hh"
+#include "cli.hh"
 
 namespace
 {
@@ -60,34 +56,14 @@ constexpr const char *kUsage =
     "                  every explored schedule to FILE (same as the\n"
     "                  HOOP_TRACE environment variable)\n";
 
-const char *kAllWorkloads[] = {"vector", "hashmap", "queue", "rbtree",
-                               "btree",  "ycsb",    "tpcc"};
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_crashcheck: %s\n%s", msg.c_str(),
-                 kUsage);
-    return 2;
-}
+constexpr cli::Tool kCli("hoop_crashcheck", kUsage);
 
 int
 replay(const std::string &path)
 {
-    std::ifstream in(path);
-    if (!in)
-        return usageError("cannot open replay file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-
     CrashSchedule sched;
-    std::string err;
-    if (!CrashSchedule::fromJson(ss.str(), &sched, &err))
-        return usageError("malformed schedule: " + err);
+    if (const auto rc = kCli.readSpec(path, "schedule", &sched))
+        return *rc;
 
     std::printf("replaying %s (%s/%s, seed %llu, %zu steps)\n",
                 path.c_str(), schemeToken(sched.scheme),
@@ -111,27 +87,13 @@ replay(const std::string &path)
     for (const OrderingViolation &v : r.orderingTraces)
         std::printf("  ORDERING VIOLATION [%s]: %s\n", v.rule.c_str(),
                     v.detail.c_str());
-    if (r.violated) {
-        std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return 1;
-    }
-    if (ordering_violations > 0) {
+    if (!r.violated && ordering_violations > 0) {
         std::printf("  %llu ordering violation(s)\n",
                     static_cast<unsigned long long>(
                         ordering_violations));
         return 1;
     }
-    std::printf("  no violation\n");
-    return 0;
-}
-
-std::string
-reproducerPath(const std::string &dir, const Violation &v,
-               std::size_t idx)
-{
-    return dir + "/crashcheck_violation_" +
-           schemeToken(v.reproducer.scheme) + "_" +
-           v.reproducer.workload + "_" + std::to_string(idx) + ".json";
+    return cli::replayVerdict(r.violated, r.detail);
 }
 
 } // namespace
@@ -153,110 +115,32 @@ main(int argc, char **argv)
     bool break_fence = false;
     bool ordering = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            const char *v = next();
-            if (!v)
-                return usageError("--workload needs a value");
-            workload_arg = v;
-        } else if (a == "--budget") {
-            const char *v = next();
-            if (!v)
-                return usageError("--budget needs a value");
-            budget = std::strtoull(v, nullptr, 10);
-        } else if (a == "--budget-ms") {
-            const char *v = next();
-            if (!v)
-                return usageError("--budget-ms needs a value");
-            budget_ms = std::strtoull(v, nullptr, 10);
-        } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usageError("--seed needs a value");
-            seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--threads") {
-            const char *v = next();
-            if (!v)
-                return usageError("--threads needs a value");
-            threads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--faults") {
-            const char *v = next();
-            if (!v || (std::strcmp(v, "none") != 0 &&
-                       std::strcmp(v, "torn") != 0 &&
-                       std::strcmp(v, "media") != 0))
-                return usageError(
-                    "--faults must be none, torn or media");
-            faults_arg = v;
-        } else if (a == "--break-commit-fence") {
-            break_fence = true;
-        } else if (a == "--ordering") {
-            ordering = true;
-        } else if (a == "--out") {
-            const char *v = next();
-            if (!v)
-                return usageError("--out needs a value");
-            out_dir = v;
-        } else if (a == "--replay") {
-            const char *v = next();
-            if (!v)
-                return usageError("--replay needs a value");
-            replay_path = v;
-        } else if (a == "--trace") {
-            const char *v = next();
-            if (!v)
-                return usageError("--trace needs a value");
-            Trace::setPath(v);
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
+    if (const auto rc = kCli.parse(
+            argc, argv,
+            {{"--scheme", &scheme_arg},
+             {"--workload", &workload_arg},
+             {"--budget", &budget},
+             {"--budget-ms", &budget_ms},
+             {"--seed", &seed},
+             {"--threads", &threads},
+             {"--faults", &faults_arg, {"none", "torn", "media"}},
+             {"--break-commit-fence", &break_fence},
+             {"--ordering", &ordering},
+             {"--out", &out_dir},
+             {"--replay", &replay_path},
+             {"--trace", [](const char *v) { Trace::setPath(v); }}}))
+        return *rc;
 
     if (!replay_path.empty())
         return replay(replay_path);
 
-    // Reproducers are written with plain ofstream, which silently
-    // drops the file if the directory is missing — create it up front.
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr, "hoop_crashcheck: cannot create --out %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
+    if (const auto rc = kCli.makeOutDir(out_dir))
+        return *rc;
     std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        // push_back rather than assign(first, last): GCC's UBSan build
-        // flags the range-assign growth path with a spurious
-        // -Warray-bounds on the 6-element source array.
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> workloads;
-    if (workload_arg == "all")
-        workloads.assign(std::begin(kAllWorkloads),
-                         std::end(kAllWorkloads));
-    else
-        workloads.push_back(workload_arg);
+    if (const auto rc = kCli.expandSchemes(scheme_arg, &schemes))
+        return *rc;
+    const std::vector<std::string> workloads =
+        cli::expandWorkloads(workload_arg);
 
     Watchdog watchdog(budget_ms);
 
@@ -274,16 +158,16 @@ main(int argc, char **argv)
 
         for (const std::string &wl : workloads) {
             ExploreOptions opt;
-            opt.scheme = scheme;
-            opt.workload = wl;
-            opt.seed = seed;
-            opt.budget = budget;
-            opt.recoverThreads = threads;
-            opt.tornWrites = faults_arg == "torn";
+            opt.base.scheme = scheme;
+            opt.base.workload = wl;
+            opt.base.seed = seed;
+            opt.base.recoverThreads = threads;
+            opt.base.tornWrites = faults_arg == "torn";
             if (faults_arg == "media")
-                opt.runtimeFaultProb = 0.02;
-            opt.breakCommitFence = break_fence;
-            opt.ordering = ordering;
+                opt.base.runtimeFaultProb = 0.02;
+            opt.base.breakCommitFence = break_fence;
+            opt.base.ordering = ordering;
+            opt.budget = budget;
             opt.progress = [&watchdog](const CrashSchedule &s) {
                 watchdog.beat(std::string(schemeToken(s.scheme)) + "/" +
                               s.workload + " schedule (" +
@@ -296,20 +180,7 @@ main(int argc, char **argv)
             total_violations += rep.violations.size();
             total_ordering_violations += rep.orderingViolations;
 
-            for (const OrderingRuleReport &rr : rep.orderingRules) {
-                auto it = std::find_if(
-                    scheme_rules.begin(), scheme_rules.end(),
-                    [&rr](const OrderingRuleReport &have) {
-                        return have.name == rr.name;
-                    });
-                if (it == scheme_rules.end()) {
-                    scheme_rules.push_back(rr);
-                } else {
-                    it->fires += rr.fires;
-                    it->depsChecked += rr.depsChecked;
-                    it->violations += rr.violations;
-                }
-            }
+            mergeRuleReports(&scheme_rules, rep.orderingRules);
 
             std::printf("%-6s %-8s schedules %4llu crashes %4llu "
                         "rec-crashes %3llu violations %zu\n",
@@ -344,12 +215,11 @@ main(int argc, char **argv)
             }
 
             for (const Violation &v : rep.violations) {
-                const std::string path =
-                    reproducerPath(out_dir, v, violation_files++);
-                std::ofstream f(path);
-                f << v.reproducer.toJson();
-                std::printf("  VIOLATION: %s\n  reproducer: %s\n",
-                            v.detail.c_str(), path.c_str());
+                cli::writeReproducer(out_dir, "crashcheck",
+                                     v.reproducer.scheme,
+                                     v.reproducer.workload,
+                                     violation_files++, v.detail,
+                                     v.reproducer.toJson());
             }
         }
 

@@ -22,14 +22,13 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/watchdog.hh"
+#include "cli.hh"
 #include "fleet/chaos.hh"
 #include "fleet/fleet.hh"
 
@@ -60,18 +59,9 @@ constexpr const char *kUsage =
     "  --json FILE     write per-cell counters as JSON to FILE\n"
     "  --replay FILE   re-execute one fleet spec JSON and exit\n";
 
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
 const char *kAllProfiles[] = {"crashes", "stalls", "faults", "mixed"};
 
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_fleet: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
+constexpr cli::Tool kCli("hoop_fleet", kUsage);
 
 void
 printResult(const FleetResult &r)
@@ -164,18 +154,11 @@ appendCellJson(std::string &doc, const FleetSpec &spec,
 }
 
 int
-replay(const std::string &path, std::uint64_t budget_ms)
+replay(const std::string &path, const FleetProgress &progress)
 {
-    std::ifstream in(path);
-    if (!in)
-        return usageError("cannot open replay file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-
     FleetSpec spec;
-    std::string err;
-    if (!FleetSpec::fromJson(ss.str(), &spec, &err))
-        return usageError("malformed fleet spec: " + err);
+    if (const auto rc = kCli.readSpec(path, "fleet spec", &spec))
+        return *rc;
 
     std::printf("replaying %s (%s/%s, chaos %s, seed %llu, %u "
                 "shards)\n",
@@ -183,17 +166,9 @@ replay(const std::string &path, std::uint64_t budget_ms)
                 spec.workload.c_str(), spec.chaosProfile.c_str(),
                 static_cast<unsigned long long>(spec.seed),
                 spec.shards);
-    Watchdog watchdog(budget_ms);
-    const FleetResult r = runFleet(
-        spec,
-        [&watchdog](const std::string &label) { watchdog.beat(label); });
+    const FleetResult r = runFleet(spec, progress);
     printResult(r);
-    if (r.violated) {
-        std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return 1;
-    }
-    std::printf("  no violation\n");
-    return 0;
+    return cli::replayVerdict(r.violated, r.detail);
 }
 
 } // namespace
@@ -211,109 +186,41 @@ main(int argc, char **argv)
     FleetSpec base;
     std::uint64_t budget_ms = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (a == "--scheme") {
-            if (!(v = next()))
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--chaos") {
-            if (!(v = next()))
-                return usageError("--chaos needs a value");
-            chaos_arg = v;
-        } else if (a == "--workload") {
-            if (!(v = next()))
-                return usageError("--workload needs a value");
-            base.workload = v;
-        } else if (a == "--shards") {
-            if (!(v = next()))
-                return usageError("--shards needs a value");
-            base.shards = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--cores") {
-            if (!(v = next()))
-                return usageError("--cores needs a value");
-            base.coresPerShard = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--requests") {
-            if (!(v = next()))
-                return usageError("--requests needs a value");
-            base.requests = std::strtoull(v, nullptr, 10);
-        } else if (a == "--seed") {
-            if (!(v = next()))
-                return usageError("--seed needs a value");
-            base.seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--warmup") {
-            if (!(v = next()))
-                return usageError("--warmup needs a value");
-            base.warmupTx = std::strtoull(v, nullptr, 10);
-        } else if (a == "--threads") {
-            if (!(v = next()))
-                return usageError("--threads needs a value");
-            base.recoverThreads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--events") {
-            if (!(v = next()))
-                return usageError("--events needs a value");
-            base.chaosEventsPerShard = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--budget-ms") {
-            if (!(v = next()))
-                return usageError("--budget-ms needs a value");
-            budget_ms = std::strtoull(v, nullptr, 10);
-        } else if (a == "--inject-ack-bug") {
-            base.injectAckBeforeDurable = true;
-        } else if (a == "--out") {
-            if (!(v = next()))
-                return usageError("--out needs a value");
-            out_dir = v;
-        } else if (a == "--json") {
-            if (!(v = next()))
-                return usageError("--json needs a value");
-            json_path = v;
-        } else if (a == "--replay") {
-            if (!(v = next()))
-                return usageError("--replay needs a value");
-            replay_path = v;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
+    if (const auto rc = kCli.parse(
+            argc, argv,
+            {{"--scheme", &scheme_arg},
+             {"--chaos", &chaos_arg},
+             {"--workload", &base.workload},
+             {"--shards", &base.shards},
+             {"--cores", &base.coresPerShard},
+             {"--requests", &base.requests},
+             {"--seed", &base.seed},
+             {"--warmup", &base.warmupTx},
+             {"--threads", &base.recoverThreads},
+             {"--events", &base.chaosEventsPerShard},
+             {"--budget-ms", &budget_ms},
+             {"--inject-ack-bug", &base.injectAckBeforeDurable},
+             {"--out", &out_dir},
+             {"--json", &json_path},
+             {"--replay", &replay_path}}))
+        return *rc;
 
     if (base.shards == 0 || base.coresPerShard == 0 ||
         base.requests == 0)
-        return usageError("--shards, --cores and --requests must be "
-                          "positive");
+        return kCli.usageError(
+            "--shards, --cores and --requests must be positive");
 
+    Watchdog watchdog(budget_ms);
+    const FleetProgress progress =
+        [&watchdog](const std::string &label) { watchdog.beat(label); };
     if (!replay_path.empty())
-        return replay(replay_path, budget_ms);
+        return replay(replay_path, progress);
 
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr,
-                     "hoop_fleet: cannot create --out %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
+    if (const auto rc = kCli.makeOutDir(out_dir))
+        return *rc;
     std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
+    if (const auto rc = kCli.expandSchemes(scheme_arg, &schemes))
+        return *rc;
 
     std::vector<std::string> profiles;
     if (chaos_arg == "all") {
@@ -321,13 +228,9 @@ main(int argc, char **argv)
                         std::end(kAllProfiles));
     } else {
         if (!chaosProfileKnown(chaos_arg))
-            return usageError("unknown chaos profile " + chaos_arg);
+            return kCli.usageError("unknown chaos profile " + chaos_arg);
         profiles.push_back(chaos_arg);
     }
-
-    Watchdog watchdog(budget_ms);
-    const FleetProgress progress =
-        [&watchdog](const std::string &label) { watchdog.beat(label); };
 
     std::string cells_json;
     std::size_t violation_files = 0;
@@ -353,14 +256,9 @@ main(int argc, char **argv)
                 std::string detail = r.detail;
                 const FleetSpec repro =
                     shrinkFleet(spec, &detail, progress);
-                const std::string path =
-                    out_dir + "/fleet_violation_" +
-                    schemeToken(scheme) + "_" + profile + "_" +
-                    std::to_string(violation_files++) + ".json";
-                std::ofstream f(path);
-                f << repro.toJson();
-                std::printf("  VIOLATION: %s\n  reproducer: %s\n",
-                            detail.c_str(), path.c_str());
+                cli::writeReproducer(out_dir, "fleet", scheme, profile,
+                                     violation_files++, detail,
+                                     repro.toJson());
             }
         }
     }

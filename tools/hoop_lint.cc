@@ -21,11 +21,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "lint/lint.hh"
 
 namespace
@@ -46,12 +45,7 @@ constexpr const char *kUsage =
     "                  real tree unsuppressed-clean\n"
     "  --verbose       also print suppressed hits with their reasons\n";
 
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_lint: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
+constexpr cli::Tool kCli("hoop_lint", kUsage);
 
 bool
 lintableExtension(const std::filesystem::path &p)
@@ -59,18 +53,6 @@ lintableExtension(const std::filesystem::path &p)
     const std::string e = p.extension().string();
     return e == ".cc" || e == ".hh" || e == ".cpp" || e == ".hpp" ||
            e == ".h";
-}
-
-bool
-readFile(const std::filesystem::path &p, std::string *out)
-{
-    std::ifstream in(p, std::ios::binary);
-    if (!in)
-        return false;
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    *out = ss.str();
-    return true;
 }
 
 /** Collect lintable files under root/path, repo-relative, sorted. */
@@ -109,7 +91,7 @@ collectFiles(const std::filesystem::path &root,
     for (const std::string &rel : rels) {
         lint::SourceFile sf;
         sf.path = rel;
-        if (!readFile(root / rel, &sf.content)) {
+        if (!cli::readFile(root / rel, &sf.content)) {
             std::fprintf(stderr, "hoop_lint: cannot read %s\n",
                          rel.c_str());
             return false;
@@ -233,36 +215,14 @@ main(int argc, char **argv)
     bool doSelfTest = false;
     bool verbose = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--root") {
-            const char *v = next();
-            if (!v)
-                return usageError("--root needs a value");
-            root = v;
-        } else if (a == "--baseline") {
-            const char *v = next();
-            if (!v)
-                return usageError("--baseline needs a value");
-            baselinePath = v;
-        } else if (a == "--list-rules") {
-            listRules = true;
-        } else if (a == "--self-test") {
-            doSelfTest = true;
-        } else if (a == "--verbose") {
-            verbose = true;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else if (!a.empty() && a[0] == '-') {
-            return usageError("unknown option " + a);
-        } else {
-            paths.push_back(a);
-        }
-    }
+    if (const auto rc = kCli.parse(argc, argv,
+                                   {{"--root", &root},
+                                    {"--baseline", &baselinePath},
+                                    {"--list-rules", &listRules},
+                                    {"--self-test", &doSelfTest},
+                                    {"--verbose", &verbose}},
+                                   &paths))
+        return *rc;
 
     if (listRules) {
         for (const lint::RuleInfo &r : lint::ruleCatalog())
@@ -279,10 +239,11 @@ main(int argc, char **argv)
                           ? fs::path(root) / "lint_baseline.txt"
                           : fs::path(baselinePath);
         std::string text;
-        if (readFile(bp, &text)) {
+        if (cli::readFile(bp, &text)) {
             opts.baseline = lint::parseBaselineText(text);
         } else if (!baselinePath.empty()) {
-            return usageError("cannot read baseline " + baselinePath);
+            return kCli.usageError("cannot read baseline " +
+                                   baselinePath);
         }
     }
 
@@ -290,7 +251,7 @@ main(int argc, char **argv)
     if (!collectFiles(root, paths, &files))
         return 2;
     if (files.empty())
-        return usageError("no lintable files found");
+        return kCli.usageError("no lintable files found");
 
     if (doSelfTest)
         return selfTest(files, opts);

@@ -21,14 +21,12 @@
  * or dead rules, 2 = usage error.
  */
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "analysis/order_harness.hh"
-#include "check/crash_schedule.hh"
+#include "cli.hh"
 #include "stats/trace.hh"
 
 namespace
@@ -56,39 +54,7 @@ constexpr const char *kUsage =
     "                  every analyzed run to FILE (same as the\n"
     "                  HOOP_TRACE environment variable)\n";
 
-const char *kAllWorkloads[] = {"vector", "hashmap", "queue", "rbtree",
-                               "btree",  "ycsb",    "tpcc"};
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_ordercheck: %s\n%s", msg.c_str(),
-                 kUsage);
-    return 2;
-}
-
-void
-mergeRules(std::vector<OrderingRuleReport> *into,
-           const std::vector<OrderingRuleReport> &from)
-{
-    for (const OrderingRuleReport &rr : from) {
-        auto it = std::find_if(into->begin(), into->end(),
-                               [&rr](const OrderingRuleReport &have) {
-                                   return have.name == rr.name;
-                               });
-        if (it == into->end()) {
-            into->push_back(rr);
-        } else {
-            it->fires += rr.fires;
-            it->depsChecked += rr.depsChecked;
-            it->violations += rr.violations;
-        }
-    }
-}
+constexpr cli::Tool kCli("hoop_ordercheck", kUsage);
 
 } // namespace
 
@@ -106,85 +72,27 @@ main(int argc, char **argv)
     bool verbose = false;
     OrderCheckOptions knobs;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            const char *v = next();
-            if (!v)
-                return usageError("--workload needs a value");
-            workload_arg = v;
-        } else if (a == "--txs") {
-            const char *v = next();
-            if (!v)
-                return usageError("--txs needs a value");
-            txs = std::strtoull(v, nullptr, 10);
-        } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usageError("--seed needs a value");
-            seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--cores") {
-            const char *v = next();
-            if (!v)
-                return usageError("--cores needs a value");
-            cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (a == "--faults") {
-            const char *v = next();
-            if (!v || (std::strcmp(v, "none") != 0 &&
-                       std::strcmp(v, "torn") != 0))
-                return usageError("--faults must be none or torn");
-            faults_arg = v;
-        } else if (a == "--verbose") {
-            verbose = true;
-        } else if (a == "--break-commit-fence") {
-            knobs.breakCommitFence = true;
-        } else if (a == "--early-commit-ack") {
-            knobs.earlyCommitAck = true;
-        } else if (a == "--skip-settle-fences") {
-            knobs.skipSettleFences = true;
-        } else if (a == "--skip-undo-log") {
-            knobs.skipUndoLog = true;
-        } else if (a == "--trace") {
-            const char *v = next();
-            if (!v)
-                return usageError("--trace needs a value");
-            Trace::setPath(v);
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
+    if (const auto rc = kCli.parse(
+            argc, argv,
+            {{"--scheme", &scheme_arg},
+             {"--workload", &workload_arg},
+             {"--txs", &txs},
+             {"--seed", &seed},
+             {"--cores", &cores},
+             {"--faults", &faults_arg, {"none", "torn"}},
+             {"--verbose", &verbose},
+             {"--break-commit-fence", &knobs.breakCommitFence},
+             {"--early-commit-ack", &knobs.earlyCommitAck},
+             {"--skip-settle-fences", &knobs.skipSettleFences},
+             {"--skip-undo-log", &knobs.skipUndoLog},
+             {"--trace", [](const char *v) { Trace::setPath(v); }}}))
+        return *rc;
 
     std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        // push_back rather than assign(first, last): GCC's UBSan build
-        // flags the range-assign growth path with a spurious
-        // -Warray-bounds on the 6-element source array.
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> workloads;
-    if (workload_arg == "all")
-        workloads.assign(std::begin(kAllWorkloads),
-                         std::end(kAllWorkloads));
-    else
-        workloads.push_back(workload_arg);
+    if (const auto rc = kCli.expandSchemes(scheme_arg, &schemes))
+        return *rc;
+    const std::vector<std::string> workloads =
+        cli::expandWorkloads(workload_arg);
 
     std::uint64_t total_violations = 0;
     std::uint64_t total_dead = 0;
@@ -208,7 +116,7 @@ main(int argc, char **argv)
 
             const OrderCheckReport rep = runOrderCheck(opt);
             total_violations += rep.totalViolations;
-            mergeRules(&scheme_rules, rep.rules);
+            mergeRuleReports(&scheme_rules, rep.rules);
             scheme_counters.timedWrites += rep.counters.timedWrites;
             scheme_counters.settleCalls += rep.counters.settleCalls;
             scheme_counters.redundantSettles +=

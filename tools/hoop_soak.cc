@@ -15,8 +15,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -24,6 +22,7 @@
 
 #include "check/soak.hh"
 #include "check/watchdog.hh"
+#include "cli.hh"
 
 namespace
 {
@@ -50,19 +49,7 @@ constexpr const char *kUsage =
     "  --json FILE     write per-cell counters as JSON to FILE\n"
     "  --replay FILE   re-execute one soak spec JSON and exit\n";
 
-const char *kAllWorkloads[] = {"vector", "hashmap", "queue", "rbtree",
-                               "btree",  "ycsb",    "tpcc"};
-
-const Scheme kPersistentSchemes[] = {Scheme::Hoop, Scheme::OptRedo,
-                                     Scheme::OptUndo, Scheme::Osp,
-                                     Scheme::Lsm, Scheme::Lad};
-
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_soak: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
+constexpr cli::Tool kCli("hoop_soak", kUsage);
 
 void
 printResult(const SoakResult &r)
@@ -83,36 +70,20 @@ printResult(const SoakResult &r)
 }
 
 int
-replay(const std::string &path, std::uint64_t budget_ms)
+replay(const std::string &path, const SoakProgress &progress)
 {
-    std::ifstream in(path);
-    if (!in)
-        return usageError("cannot open replay file " + path);
-    std::stringstream ss;
-    ss << in.rdbuf();
-
     SoakSpec spec;
-    std::string err;
-    if (!SoakSpec::fromJson(ss.str(), &spec, &err))
-        return usageError("malformed soak spec: " + err);
+    if (const auto rc = kCli.readSpec(path, "soak spec", &spec))
+        return *rc;
 
     std::printf("replaying %s (%s/%s, seed %llu, %u phases)\n",
                 path.c_str(), schemeToken(spec.scheme),
                 spec.workload.c_str(),
                 static_cast<unsigned long long>(spec.seed),
                 spec.phases);
-    Watchdog watchdog(budget_ms);
-    const SoakResult r = runSoak(spec, [&watchdog](
-                                           const std::string &label) {
-        watchdog.beat(label);
-    });
+    const SoakResult r = runSoak(spec, progress);
     printResult(r);
-    if (r.violated) {
-        std::printf("  VIOLATION: %s\n", r.detail.c_str());
-        return 1;
-    }
-    std::printf("  no violation\n");
-    return 0;
+    return cli::replayVerdict(r.violated, r.detail);
 }
 
 void
@@ -150,111 +121,40 @@ main(int argc, char **argv)
     SoakSpec base;
     std::uint64_t budget_ms = 0;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        const char *v = nullptr;
-        if (a == "--scheme") {
-            if (!(v = next()))
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            if (!(v = next()))
-                return usageError("--workload needs a value");
-            workload_arg = v;
-        } else if (a == "--seed") {
-            if (!(v = next()))
-                return usageError("--seed needs a value");
-            base.seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--phases") {
-            if (!(v = next()))
-                return usageError("--phases needs a value");
-            base.phases = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--tx") {
-            if (!(v = next()))
-                return usageError("--tx needs a value");
-            base.txPerPhase = std::strtoull(v, nullptr, 10);
-        } else if (a == "--warmup") {
-            if (!(v = next()))
-                return usageError("--warmup needs a value");
-            base.warmupTx = std::strtoull(v, nullptr, 10);
-        } else if (a == "--fault-prob") {
-            if (!(v = next()))
-                return usageError("--fault-prob needs a value");
-            base.faultProb = std::strtod(v, nullptr);
-        } else if (a == "--escalation") {
-            if (!(v = next()))
-                return usageError("--escalation needs a value");
-            base.escalation = std::strtod(v, nullptr);
-        } else if (a == "--threads") {
-            if (!(v = next()))
-                return usageError("--threads needs a value");
-            base.recoverThreads = static_cast<unsigned>(
-                std::strtoul(v, nullptr, 10));
-        } else if (a == "--budget-ms") {
-            if (!(v = next()))
-                return usageError("--budget-ms needs a value");
-            budget_ms = std::strtoull(v, nullptr, 10);
-        } else if (a == "--out") {
-            if (!(v = next()))
-                return usageError("--out needs a value");
-            out_dir = v;
-        } else if (a == "--json") {
-            if (!(v = next()))
-                return usageError("--json needs a value");
-            json_path = v;
-        } else if (a == "--replay") {
-            if (!(v = next()))
-                return usageError("--replay needs a value");
-            replay_path = v;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
+    if (const auto rc = kCli.parse(
+            argc, argv,
+            {{"--scheme", &scheme_arg},
+             {"--workload", &workload_arg},
+             {"--seed", &base.seed},
+             {"--phases", &base.phases},
+             {"--tx", &base.txPerPhase},
+             {"--warmup", &base.warmupTx},
+             {"--fault-prob", &base.faultProb},
+             {"--escalation", &base.escalation},
+             {"--threads", &base.recoverThreads},
+             {"--budget-ms", &budget_ms},
+             {"--out", &out_dir},
+             {"--json", &json_path},
+             {"--replay", &replay_path}}))
+        return *rc;
 
     if (base.phases == 0 || base.txPerPhase == 0)
-        return usageError("--phases and --tx must be positive");
-
-    if (!replay_path.empty())
-        return replay(replay_path, budget_ms);
-
-    std::error_code ec;
-    std::filesystem::create_directories(out_dir, ec);
-    if (ec) {
-        std::fprintf(stderr, "hoop_soak: cannot create --out %s: %s\n",
-                     out_dir.c_str(), ec.message().c_str());
-        return 2;
-    }
-
-    std::vector<Scheme> schemes;
-    if (scheme_arg == "all") {
-        for (Scheme s : kPersistentSchemes)
-            schemes.push_back(s);
-    } else {
-        Scheme s;
-        if (!schemeFromToken(scheme_arg, &s) || s == Scheme::Native)
-            return usageError("unknown scheme " + scheme_arg);
-        schemes.push_back(s);
-    }
-
-    std::vector<std::string> workloads;
-    if (workload_arg == "all")
-        workloads.assign(std::begin(kAllWorkloads),
-                         std::end(kAllWorkloads));
-    else
-        workloads.push_back(workload_arg);
+        return kCli.usageError("--phases and --tx must be positive");
 
     Watchdog watchdog(budget_ms);
-    const SoakProgress progress = [&watchdog](
-                                      const std::string &label) {
+    const SoakProgress progress = [&watchdog](const std::string &label) {
         watchdog.beat(label);
     };
+    if (!replay_path.empty())
+        return replay(replay_path, progress);
+
+    if (const auto rc = kCli.makeOutDir(out_dir))
+        return *rc;
+    std::vector<Scheme> schemes;
+    if (const auto rc = kCli.expandSchemes(scheme_arg, &schemes))
+        return *rc;
+    const std::vector<std::string> workloads =
+        cli::expandWorkloads(workload_arg);
 
     std::string cells_json;
     std::size_t violation_files = 0;
@@ -280,14 +180,9 @@ main(int argc, char **argv)
                 std::string detail = r.detail;
                 const SoakSpec repro =
                     shrinkSoak(spec, &detail, progress);
-                const std::string path =
-                    out_dir + "/soak_violation_" +
-                    schemeToken(scheme) + "_" + wl + "_" +
-                    std::to_string(violation_files++) + ".json";
-                std::ofstream f(path);
-                f << repro.toJson();
-                std::printf("  VIOLATION: %s\n  reproducer: %s\n",
-                            detail.c_str(), path.c_str());
+                cli::writeReproducer(out_dir, "soak", scheme, wl,
+                                     violation_files++, detail,
+                                     repro.toJson());
             }
         }
     }

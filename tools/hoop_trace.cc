@@ -12,10 +12,9 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 
+#include "cli.hh"
 #include "sim/system.hh"
 #include "stats/trace.hh"
 #include "workloads/registry.hh"
@@ -36,34 +35,7 @@ constexpr const char *kUsage =
     "  --seed N        deterministic seed      (default 42)\n"
     "  --crash         crash after the run and trace the recovery\n";
 
-int
-usageError(const std::string &msg)
-{
-    std::fprintf(stderr, "hoop_trace: %s\n%s", msg.c_str(), kUsage);
-    return 2;
-}
-
-Scheme
-parseScheme(const std::string &s, bool &ok)
-{
-    ok = true;
-    if (s == "hoop")
-        return Scheme::Hoop;
-    if (s == "redo")
-        return Scheme::OptRedo;
-    if (s == "undo")
-        return Scheme::OptUndo;
-    if (s == "osp")
-        return Scheme::Osp;
-    if (s == "lsm")
-        return Scheme::Lsm;
-    if (s == "lad")
-        return Scheme::Lad;
-    if (s == "native")
-        return Scheme::Native;
-    ok = false;
-    return Scheme::Hoop;
-}
+constexpr cli::Tool kCli("hoop_trace", kUsage);
 
 } // namespace
 
@@ -80,55 +52,19 @@ main(int argc, char **argv)
     unsigned cores = 4;
     bool crash = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string a = argv[i];
-        auto next = [&]() -> const char * {
-            return i + 1 < argc ? argv[++i] : nullptr;
-        };
-        if (a == "--out") {
-            const char *v = next();
-            if (!v)
-                return usageError("--out needs a value");
-            out = v;
-        } else if (a == "--scheme") {
-            const char *v = next();
-            if (!v)
-                return usageError("--scheme needs a value");
-            scheme_arg = v;
-        } else if (a == "--workload") {
-            const char *v = next();
-            if (!v)
-                return usageError("--workload needs a value");
-            workload = v;
-        } else if (a == "--txs") {
-            const char *v = next();
-            if (!v)
-                return usageError("--txs needs a value");
-            txs = std::strtoull(v, nullptr, 10);
-        } else if (a == "--cores") {
-            const char *v = next();
-            if (!v)
-                return usageError("--cores needs a value");
-            cores = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (a == "--seed") {
-            const char *v = next();
-            if (!v)
-                return usageError("--seed needs a value");
-            seed = std::strtoull(v, nullptr, 10);
-        } else if (a == "--crash") {
-            crash = true;
-        } else if (a == "--help" || a == "-h") {
-            std::fputs(kUsage, stdout);
-            return 0;
-        } else {
-            return usageError("unknown option " + a);
-        }
-    }
+    if (const auto rc = kCli.parse(argc, argv,
+                                   {{"--out", &out},
+                                    {"--scheme", &scheme_arg},
+                                    {"--workload", &workload},
+                                    {"--txs", &txs},
+                                    {"--cores", &cores},
+                                    {"--seed", &seed},
+                                    {"--crash", &crash}}))
+        return *rc;
 
-    bool scheme_ok = false;
-    const Scheme scheme = parseScheme(scheme_arg, scheme_ok);
-    if (!scheme_ok)
-        return usageError("unknown scheme " + scheme_arg);
+    Scheme scheme = Scheme::Hoop;
+    if (!schemeFromToken(scheme_arg, &scheme))
+        return kCli.usageError("unknown scheme " + scheme_arg);
 
     Trace::setPath(out);
 
