@@ -9,6 +9,14 @@
 namespace hoopnvm
 {
 
+namespace
+{
+
+/** Commit handshake between cache and memory controller. */
+constexpr Tick kCommitOverhead = nsToTicks(120);
+
+} // namespace
+
 LadController::LadController(NvmDevice &nvm, const SystemConfig &cfg_)
     : PersistenceController("lad", nvm, cfg_),
       txWrites(cfg_.numCores),
@@ -62,7 +70,7 @@ LadController::txEnd(CoreId core, Tick now)
     // commits"), so the transaction waits for those writes.
     // Prepare/commit handshake with the controller (the two-phase
     // protocol LAD uses to make queue contents the durability point).
-    Tick t = now + (writes.empty() ? 0 : cfg.ladCommitOverhead);
+    Tick t = now + (writes.empty() ? 0 : kCommitOverhead);
     // Address order: queue drain order is observable durable state.
     for (const Addr line : sortedKeys(writes)) {
         t += queueInsertCost;

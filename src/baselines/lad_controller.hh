@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "baselines/redo_controller.hh" // LineImage
+#include "baselines/log_controller.hh" // LineImage
 #include "controller/persistence_controller.hh"
 
 namespace hoopnvm

@@ -1,10 +1,8 @@
 #include "baselines/osp_controller.hh"
 
 #include <algorithm>
-#include <cstring>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/errors.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 
@@ -13,6 +11,9 @@ namespace hoopnvm
 
 namespace
 {
+
+/** Cost of one TLB shootdown charged to every OSP commit. */
+constexpr Tick kTlbShootdownCost = nsToTicks(1800);
 
 /**
  * Auxiliary-region layout for OSP:
@@ -39,24 +40,18 @@ ospLogBytes(const SystemConfig &cfg)
 } // namespace
 
 OspController::OspController(NvmDevice &nvm, const SystemConfig &cfg_)
-    : PersistenceController("osp", nvm, cfg_),
-      log_(nvm, ospLogBase(cfg_), ospLogBytes(cfg_), "osp_log", &cfg_),
-      txWrites(cfg_.numCores),
+    : LogController("osp", nvm, cfg_, ospLogBase(cfg_), ospLogBytes(cfg_),
+                    "osp flip log degraded past the admission threshold "
+                    "by bad-slot retirement",
+                    "osp flip log wedged by open transactions; increase "
+                    "auxBytes"),
       selectorWritesC_(stats_.counter("selector_writes")),
       shadowWritesC_(stats_.counter("shadow_writes")),
-      txCommittedC_(stats_.counter("tx_committed")),
       flipRecordsC_(stats_.counter("flip_records")),
       tlbShootdownsC_(stats_.counter("tlb_shootdowns")),
       consolidationCopiesC_(stats_.counter("consolidation_copies")),
       inactiveWritebacksC_(stats_.counter("inactive_writebacks")),
-      homeWritebacksC_(stats_.counter("home_writebacks")),
-      logBackpressureStallsC_(
-          stats_.counter("log_backpressure_stalls")),
-      txRejectedC_(stats_.counter("tx_rejected")),
-      scrubCorrectedC_(stats_.counter("scrub_corrected_words")),
-      scrubPassesC_(stats_.counter("scrub_passes")),
-      scrubPauseH_(stats_.histogram("scrub_pause_ticks")),
-      recoveriesC_(stats_.counter("recoveries"))
+      homeWritebacksC_(stats_.counter("home_writebacks"))
 {
 }
 
@@ -66,11 +61,7 @@ OspController::declareOrderingRules(OrderingTracker &t)
     t.rule("osp-flip-record")
         .requiresDurable("inactive-copy data writes and the flip "
                          "records of an acknowledged transaction");
-    if (cfg.ft.enabled) {
-        t.rule("log-retire-bitmap")
-            .requiresSettled("the durable slot-retirement bitmap before "
-                             "the retirement is acted upon");
-    }
+    LogController::declareOrderingRules(t);
 }
 
 Addr
@@ -95,34 +86,6 @@ Addr
 OspController::currentCopy(Addr line) const
 {
     return shadowIsCurrent(line) ? shadowOf(line) : line;
-}
-
-TxId
-OspController::txBegin(CoreId core, Tick now)
-{
-    if (cfg.ft.enabled &&
-        log_.degradedFraction() >= cfg.ft.rejectCapacityFraction) {
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::CapacityDegraded,
-                         "osp flip log degraded past the admission "
-                         "threshold by bad-slot retirement"};
-    }
-    const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
-    return tx;
-}
-
-Tick
-OspController::storeWord(CoreId core, Addr addr,
-                         const std::uint8_t *data, Tick now)
-{
-    std::uint64_t value;
-    std::memcpy(&value, data, kWordSize);
-    const Addr line = lineAddr(addr);
-    txWrites[core][line].setWord(
-        static_cast<unsigned>((addr - line) / kWordSize), value);
-    return cfg.cycle();
-    (void)now;
 }
 
 Tick
@@ -186,13 +149,10 @@ OspController::txEnd(CoreId core, Tick now)
     // partial append would replay a half-flipped commit.
     const std::uint64_t recs = (flipped.size() + 7) / 8;
     if (!log_.canAppend(recs)) {
+        // No flip record was appended, so the old copies stay live and
+        // the commit vanishes atomically.
         ++logBackpressureStallsC_;
-        // Degrade, don't die: no flip record was appended, so the old
-        // copies stay live and the commit vanishes atomically.
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::LogExhausted,
-                         "osp flip log wedged by open transactions; "
-                         "increase auxBytes"};
+        rejectWedged();
     }
     Tick rec_done = data_done;
     for (std::size_t i = 0; i < flipped.size(); i += 8) {
@@ -225,7 +185,7 @@ OspController::txEnd(CoreId core, Tick now)
             shadowCurrent.insert(line);
     }
     Tick done = applyFlips(rec_done, flipped);
-    done += cfg.tlbShootdownCost;
+    done += kTlbShootdownCost;
     ++tlbShootdownsC_;
 
     // Page consolidation (§IV-B): SSP periodically re-packs split
@@ -253,10 +213,7 @@ OspController::txEnd(CoreId core, Tick now)
     // The flip records appended above become dead the moment no region
     // is open — exactly the condition maintenance() truncates on, and
     // closing a region is the only way it can newly become true.
-    bool any_open = false;
-    for (const auto &s : coreTx)
-        any_open |= s.active;
-    if (!any_open && log_.size() > 0)
+    if (!anyTxOpen() && log_.size() > 0)
         maintDirty_ = true;
     return done;
 }
@@ -270,22 +227,7 @@ OspController::fillLine(CoreId, Addr line, std::uint8_t *buf, Tick now)
 
     // Overlay any open transaction's buffered words (covers the case
     // where the line was evicted mid-transaction).
-    std::uint8_t mask = 0;
-    TxId owner = kInvalidTxId;
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end()) {
-            it->second.overlay(buf);
-            mask |= it->second.mask;
-            owner = coreTx[c].txId;
-        }
-    }
-    if (mask) {
-        fr.dirty = true;
-        fr.persistent = true;
-        fr.txId = owner;
-        fr.wordMask = mask;
-    }
+    overlayOpenTxWrites(line, buf, &fr);
     return fr;
 }
 
@@ -294,10 +236,7 @@ OspController::evictLine(CoreId core, Addr line, const std::uint8_t *data,
                          bool persistent, TxId, std::uint8_t, Tick now)
 {
     if (persistent) {
-        bool open = false;
-        for (unsigned c = 0; c < cfg.numCores && !open; ++c)
-            open = txWrites[c].contains(line);
-        if (open) {
+        if (openTxWrites(line)) {
             // Uncommitted data parks in the inactive copy; the old copy
             // stays intact for crash safety.
             const Addr target =
@@ -317,59 +256,30 @@ OspController::evictLine(CoreId core, Addr line, const std::uint8_t *data,
 void
 OspController::maintenance(Tick now)
 {
-    // Flip records are applied synchronously at commit; between
-    // transactions the whole record log is dead.
+    maintDirty_ = true; // stays armed if the crash point fires
+    compact(now);
+    // The log is empty now, or a region is open and its txEnd re-arms.
     maintDirty_ = false;
-    bool any_open = false;
-    for (const auto &t : coreTx)
-        any_open |= t.active;
-    if (!any_open && log_.size() > 0) {
-        maintDirty_ = true; // re-armed if the crash point fires
-        // Crash point: before the flip-log tail moves. Every live
-        // record was already applied to the durable selector table and
-        // re-applying is idempotent.
-        crashStep(CrashPointKind::GcStep);
-        log_.truncate(now, log_.size());
-        maintDirty_ = false; // the whole log was just truncated
-    }
 }
 
 Tick
-OspController::scrub(Tick now)
+OspController::compact(Tick now)
 {
-    std::uint64_t corrected = 0;
-    const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
-    scrubCorrectedC_ += corrected;
-    scrubPassesC_ += 1;
-    scrubPauseH_.record(done - now);
-    return done;
-}
-
-ControllerGauges
-OspController::sampleGauges() const
-{
-    ControllerGauges g;
-    g.mappingEntries = log_.size();
-    g.structBytes = log_.size() * LogEntry::kEntryBytes;
-    g.backpressureStalls = stats_.value("log_backpressure_stalls");
-    if (log_.faultToleranceEnabled()) {
-        g.retiredUnits = log_.retiredSlots();
-        g.correctedWords = nvm_.faults().wordsEccCorrected();
-        g.degradedFraction = log_.degradedFraction();
-    }
-    g.txRejected = stats_.value("tx_rejected");
-    return g;
+    // Flip records are applied synchronously at commit; between
+    // transactions the whole record log is dead.
+    if (anyTxOpen() || log_.size() == 0)
+        return now;
+    // Crash point: before the flip-log tail moves. Every live record
+    // was already applied to the durable selector table and
+    // re-applying is idempotent.
+    crashStep(CrashPointKind::GcStep);
+    return log_.truncate(now, log_.size());
 }
 
 void
 OspController::crash()
 {
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
-    for (auto &t : coreTx)
-        t = CoreTxState{};
+    LogController::crash();
     // shadowCurrent mirrors the durable selector table; recovery will
     // rebuild it from NVM.
     shadowCurrent.clear();
@@ -435,11 +345,7 @@ void
 OspController::debugReadLine(Addr line, std::uint8_t *buf) const
 {
     nvm_.peek(currentCopy(line), buf, kCacheLineSize);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
+    overlayOpenTxWrites(line, buf);
 }
 
 } // namespace hoopnvm

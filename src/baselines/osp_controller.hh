@@ -10,62 +10,45 @@
  * and pays a TLB shootdown (the address seen by the processor changes,
  * which the paper identifies as OSP's main cost). A crash before the
  * record leaves the old copies live; a crash after it is completed by
- * recovery re-applying the flips.
+ * recovery re-applying the flips. The flip records live in the
+ * LogController ring.
  */
 
 #ifndef HOOPNVM_BASELINES_OSP_CONTROLLER_HH
 #define HOOPNVM_BASELINES_OSP_CONTROLLER_HH
 
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
-#include "baselines/log_region.hh"
-#include "baselines/redo_controller.hh" // LineImage
-#include "controller/persistence_controller.hh"
+#include "baselines/log_controller.hh"
 
 namespace hoopnvm
 {
 
 /** Cache-line-granularity shadow paging. */
-class OspController : public PersistenceController
+class OspController : public LogController
 {
   public:
     OspController(NvmDevice &nvm, const SystemConfig &cfg);
 
     Scheme scheme() const override { return Scheme::Osp; }
 
-    TxId txBegin(CoreId core, Tick now) override;
     Tick txEnd(CoreId core, Tick now) override;
-    Tick storeWord(CoreId core, Addr addr, const std::uint8_t *data,
-                   Tick now) override;
     FillResult fillLine(CoreId core, Addr line, std::uint8_t *buf,
                         Tick now) override;
     void evictLine(CoreId core, Addr line, const std::uint8_t *data,
                    bool persistent, TxId tx, std::uint8_t word_mask,
                    Tick now) override;
+
+    /** Truncate the flip log whenever no region is open. */
     void maintenance(Tick now) override;
-    Tick scrub(Tick now) override;
-    ControllerGauges sampleGauges() const override;
+
+    /** No time-triggered maintenance. */
+    Tick nextMaintenanceDue() const override { return kNeverTick; }
     void crash() override;
     Tick recover(unsigned threads) override;
     void debugReadLine(Addr line, std::uint8_t *buf) const override;
     void declareOrderingRules(OrderingTracker &t) override;
-
-    /** Forward the tracker to the log's retirement machinery. */
-    void
-    setOrderingTracker(OrderingTracker *t) override
-    {
-        PersistenceController::setOrderingTracker(t);
-        log_.setOrdering(t);
-    }
-
-    /** Free log-ring slots: wear-out fault-injection targets. */
-    std::vector<std::pair<Addr, Addr>>
-    freeMediaRanges() const override
-    {
-        return log_.freeSlotRanges();
-    }
 
     /** NVM address of the line's shadow copy. */
     Addr shadowOf(Addr line) const;
@@ -74,6 +57,10 @@ class OspController : public PersistenceController
     bool shadowIsCurrent(Addr line) const;
 
   private:
+    /** Drop the whole flip log when no region is open: every record
+     *  was applied to the durable selector table at its commit. */
+    Tick compact(Tick now) override;
+
     /** NVM address of @p line's entry in the selector table. */
     Addr selectorAddr(Addr line) const;
 
@@ -83,13 +70,8 @@ class OspController : public PersistenceController
     /** Persist selector bytes for @p lines and update the host view. */
     Tick applyFlips(Tick now, const std::vector<Addr> &lines);
 
-    LogRegion log_; ///< Flip records (atomic multi-line commit).
-
     /** Host view of the NVM selector table (shadow-current lines). */
     std::unordered_set<Addr> shadowCurrent;
-
-    /** Per-core words written by the running transaction. */
-    std::vector<std::unordered_map<Addr, LineImage>> txWrites;
 
     /** Commits since the last page consolidation pass. */
     std::uint64_t commitsSinceConsolidation = 0;
@@ -97,18 +79,11 @@ class OspController : public PersistenceController
     // Hot-path counters resolved once against the inherited stats_.
     Counter &selectorWritesC_;
     Counter &shadowWritesC_;
-    Counter &txCommittedC_;
     Counter &flipRecordsC_;
     Counter &tlbShootdownsC_;
     Counter &consolidationCopiesC_;
     Counter &inactiveWritebacksC_;
     Counter &homeWritebacksC_;
-    Counter &logBackpressureStallsC_;
-    Counter &txRejectedC_;
-    Counter &scrubCorrectedC_;
-    Counter &scrubPassesC_;
-    Histogram &scrubPauseH_;
-    Counter &recoveriesC_;
 };
 
 } // namespace hoopnvm

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
+#include <unordered_map>
+#include <vector>
 
 #include "analysis/ordering_tracker.hh"
-#include "common/errors.hh"
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 
@@ -13,22 +13,15 @@ namespace hoopnvm
 {
 
 UndoController::UndoController(NvmDevice &nvm, const SystemConfig &cfg_)
-    : PersistenceController("undo", nvm, cfg_),
-      log_(nvm, cfg_.auxBase(), cfg_.auxBytes, "undo_log", &cfg_),
-      txWrites(cfg_.numCores),
-      outstanding(cfg_.numCores, 0),
+    : LogController("undo", nvm, cfg_, cfg_.auxBase(), cfg_.auxBytes,
+                    "undo log degraded past the admission threshold by "
+                    "bad-slot retirement",
+                    "undo log wedged: all entries belong to open "
+                    "transactions; increase auxBytes"),
       logEntriesC_(stats_.counter("log_entries")),
       commitFlushesC_(stats_.counter("commit_flushes")),
       commitRecordsC_(stats_.counter("commit_records")),
-      txCommittedC_(stats_.counter("tx_committed")),
-      homeWritebacksC_(stats_.counter("home_writebacks")),
-      logBackpressureStallsC_(
-          stats_.counter("log_backpressure_stalls")),
-      txRejectedC_(stats_.counter("tx_rejected")),
-      scrubCorrectedC_(stats_.counter("scrub_corrected_words")),
-      scrubPassesC_(stats_.counter("scrub_passes")),
-      scrubPauseH_(stats_.histogram("scrub_pause_ticks")),
-      recoveriesC_(stats_.counter("recoveries"))
+      homeWritebacksC_(stats_.counter("home_writebacks"))
 {
 }
 
@@ -41,27 +34,7 @@ UndoController::declareOrderingRules(OrderingTracker &t)
     t.rule("undo-commit-record")
         .requiresDurable("in-place data flushes and the commit record "
                          "of an acknowledged transaction");
-    if (cfg.ft.enabled) {
-        t.rule("log-retire-bitmap")
-            .requiresSettled("the durable slot-retirement bitmap before "
-                             "the retirement is acted upon");
-    }
-}
-
-TxId
-UndoController::txBegin(CoreId core, Tick now)
-{
-    if (cfg.ft.enabled &&
-        log_.degradedFraction() >= cfg.ft.rejectCapacityFraction) {
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::CapacityDegraded,
-                         "undo log degraded past the admission "
-                         "threshold by bad-slot retirement"};
-    }
-    const TxId tx = PersistenceController::txBegin(core, now);
-    txWrites[core].clear();
-    outstanding[core] = now;
-    return tx;
+    LogController::declareOrderingRules(t);
 }
 
 Tick
@@ -81,8 +54,7 @@ UndoController::storeWord(CoreId core, Addr addr,
         // debugSkipUndoLog drops the entry, breaking write-ahead
         // logging so the issued-before-trigger rule can be validated.
         if (!cfg.debugSkipUndoLog) {
-            if (log_.full())
-                stallForLogSpace(now);
+            waitForLogSlot(now);
             std::uint8_t old_line[kCacheLineSize];
             nvm_.read(now, line, old_line, kCacheLineSize);
             LogEntry e;
@@ -96,7 +68,6 @@ UndoController::storeWord(CoreId core, Addr addr,
             orderDep("undo-home-write", line);
             // Metadata companion line of the undo entry.
             nvm_.writeAccounting(now, kCacheLineSize);
-            ++openEntries;
             ++logEntriesC_;
         }
         it = writes.emplace(line, LineImage{}).first;
@@ -132,16 +103,9 @@ UndoController::txEnd(CoreId core, Tick now)
 
     Tick commit_done = data_done;
     if (!txWrites[core].empty()) {
-        if (log_.full())
-            stallForLogSpace(data_done);
-        LogEntry rec;
-        rec.type = LogEntryType::Commit;
-        rec.txId = tx;
-        rec.commitId = cid;
-        rec.mask = 1;
-        commit_done = log_.append(data_done, rec);
+        waitForLogSlot(data_done);
+        commit_done = appendCommitRecord(data_done, tx, cid);
         orderDep("undo-commit-record", tx);
-        ++openEntries;
         ++commitRecordsC_;
     }
 
@@ -149,8 +113,6 @@ UndoController::txEnd(CoreId core, Tick now)
     // and the record are still in flight (checker validation only).
     const Tick ack = cfg.debugEarlyCommitAck ? now : commit_done;
     orderTrigger("undo-commit-record", tx, ack);
-    committedEntries += openEntries;
-    openEntries = 0;
     txWrites[core].clear();
     coreTx[core] = CoreTxState{};
     ++txCommittedC_;
@@ -174,108 +136,29 @@ UndoController::evictLine(CoreId, Addr line, const std::uint8_t *data,
 {
     // In-place writeback is always legal: the undo entry for any
     // uncommitted content was persisted before the first store.
-    if (ordering()) {
-        bool open_tx_line = false;
-        for (unsigned c = 0; c < cfg.numCores && !open_tx_line; ++c)
-            open_tx_line = txWrites[c].contains(line);
-        if (open_tx_line)
-            orderTrigger("undo-home-write", line, 0, 1, false);
-    }
+    if (ordering() && openTxWrites(line))
+        orderTrigger("undo-home-write", line, 0, 1, false);
     nvm_.write(now, line, data, kCacheLineSize);
     ++homeWritebacksC_;
 }
 
-void
-UndoController::truncateCommitted(Tick now)
+Tick
+UndoController::compact(Tick now)
 {
     // Between transactions every live entry belongs to a committed
     // transaction whose data was flushed in place at commit, so the
     // whole log is dead. With a transaction open, truncation must wait.
-    bool any_open = false;
-    for (const auto &t : coreTx)
-        any_open |= t.active;
-    if (any_open || log_.size() == 0)
-        return;
+    if (anyTxOpen() || log_.size() == 0)
+        return now;
     // Crash point: before the tail moves. All live entries belong to
     // committed transactions whose data is durably in place, so
     // recovery rolls nothing back either way.
     crashStep(CrashPointKind::GcStep);
-    log_.truncate(now, log_.size());
+    const Tick done = log_.truncate(now, log_.size());
     // The truncated entries' pre-images are gone; retire their
     // write-ahead obligations (all owners have committed).
     orderClear("undo-home-write");
-    committedEntries = 0;
-}
-
-void
-UndoController::stallForLogSpace(Tick now)
-{
-    // Log full mid-transaction: the writer stalls on truncation
-    // (modelled backpressure, counted). Truncation can only proceed
-    // between transactions, so if it frees nothing the open
-    // transactions have outgrown the log — configuration error.
-    ++logBackpressureStallsC_;
-    truncateCommitted(now);
-    if (log_.full()) {
-        // Degrade, don't die: the offending transaction's in-place
-        // writes are rolled back by its logged pre-images on recovery.
-        txRejectedC_ += 1;
-        throw TxRejected{RejectCause::LogExhausted,
-                         "undo log wedged: all entries belong to open "
-                         "transactions; increase auxBytes"};
-    }
-}
-
-Tick
-UndoController::scrub(Tick now)
-{
-    std::uint64_t corrected = 0;
-    const Tick done =
-        log_.scrubSlots(now, cfg.ft.scrubChunks, &corrected);
-    scrubCorrectedC_ += corrected;
-    scrubPassesC_ += 1;
-    scrubPauseH_.record(done - now);
     return done;
-}
-
-void
-UndoController::maintenance(Tick now)
-{
-    maintDirty_ = false;
-    if (now - lastTruncate >= cfg.gcPeriod ||
-        log_.size() * 4 >= log_.capacity() * 3) {
-        maintDirty_ = true; // re-armed if truncation unwinds on crash
-        lastTruncate = now;
-        truncateCommitted(now);
-        maintDirty_ = log_.size() * 4 >= log_.capacity() * 3;
-    }
-}
-
-ControllerGauges
-UndoController::sampleGauges() const
-{
-    ControllerGauges g;
-    g.mappingEntries = log_.size();
-    g.structBytes = log_.size() * LogEntry::kEntryBytes;
-    g.backpressureStalls = stats_.value("log_backpressure_stalls");
-    if (log_.faultToleranceEnabled()) {
-        g.retiredUnits = log_.retiredSlots();
-        g.correctedWords = nvm_.faults().wordsEccCorrected();
-        g.degradedFraction = log_.degradedFraction();
-    }
-    g.txRejected = stats_.value("tx_rejected");
-    return g;
-}
-
-void
-UndoController::crash()
-{
-    // lint: unordered-iter-ok (outer std::vector of per-core maps; clearing is order-insensitive)
-    for (auto &w : txWrites)
-        w.clear();
-    for (auto &t : coreTx)
-        t = CoreTxState{};
-    openEntries = 0;
 }
 
 Tick
@@ -311,23 +194,11 @@ UndoController::recover(unsigned)
     // Crash point: rollback done, log not yet cleared.
     crashStep(CrashPointKind::RecoveryStep);
     log_.clear(0);
-    committedEntries = 0;
     recoveriesC_ += 1;
 
     const Tick channel = nvm_.timing().transferTicks(
         entries * LogEntry::kEntryBytes + lines * kCacheLineSize);
     return channel + entries * nsToTicks(40);
-}
-
-void
-UndoController::debugReadLine(Addr line, std::uint8_t *buf) const
-{
-    nvm_.peek(line, buf, kCacheLineSize);
-    for (unsigned c = 0; c < cfg.numCores; ++c) {
-        auto it = txWrites[c].find(line);
-        if (it != txWrites[c].end())
-            it->second.overlay(buf);
-    }
 }
 
 } // namespace hoopnvm

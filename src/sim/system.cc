@@ -159,9 +159,11 @@ System::loadWord(CoreId core, Addr addr)
     Core &c = cores_[core];
     std::uint64_t v = 0;
     if (cfg_.missOverlapDepth <= 1) {
-        // Blocking core: the literal historical path, kept verbatim so
-        // depth 1 is bit-identical to the pre-knob engine
-        // (interference_test pins the differential).
+        // Blocking core: every load waits out its own fill. The
+        // windowed path below is not this at depth 1: it would push a
+        // slow fill into the empty window, let the core continue after
+        // one opCost and stall only at the next slow fill
+        // (MissOverlap.DepthOneBlocksOnEverySlowFill pins this).
         c.advanceTo(caches_->loadWord(core, addr, v, c.clock()));
         return v;
     }

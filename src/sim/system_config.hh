@@ -68,9 +68,11 @@ struct CacheParams
  * Runtime media-fault tolerance: k-bit-correcting ECC on the read
  * path, seeded read retries for transient faults, a background
  * scrubber, and bad-block/slot retirement with graceful capacity
- * degradation. Disabled by default — every knob below is inert until
+ * degradation. Disabled by default — the subsystem is inert until
  * `enabled` is set, so fault-free runs are bit-identical to builds
- * without the subsystem.
+ * without it. The static constexpr members are fixed model parameters
+ * (several components read them, so they live here); the other fields
+ * are the knobs that tests and tools set.
  */
 struct FaultToleranceConfig
 {
@@ -83,20 +85,20 @@ struct FaultToleranceConfig
      * (counted, and charged the correction surcharge below); words
      * beyond it surface as uncorrectable unless a retry clears them.
      */
-    unsigned eccCorrectBits = 1;
+    static constexpr unsigned eccCorrectBits = 1;
 
     /** Latency surcharge per ECC-corrected word on a timed read. */
-    Tick eccCorrectCost = nsToTicks(20);
+    static constexpr Tick eccCorrectCost = nsToTicks(20);
 
     /**
      * Maximum read retries after an uncorrectable first attempt.
      * Transient (read-disturb) faults clear after a seeded number of
      * attempts; stuck-at faults never do, so retries are bounded.
      */
-    unsigned readRetryMax = 4;
+    static constexpr unsigned readRetryMax = 4;
 
     /** Modelled backoff added to the completion tick per retry. */
-    Tick readRetryBackoff = nsToTicks(100);
+    static constexpr Tick readRetryBackoff = nsToTicks(100);
 
     /**
      * Simulated-time cadence of the background scrubber (0 disables).
@@ -106,13 +108,13 @@ struct FaultToleranceConfig
     Tick scrubPeriod = nsToTicks(2e6);
 
     /** OOP blocks (or log-slot stripes) examined per scrub pass. */
-    std::uint32_t scrubChunks = 4;
+    static constexpr std::uint32_t scrubChunks = 4;
 
     /**
      * Retire a block once this fraction of its slice slots failed
      * program-verify (skipped at write time as uncorrectable).
      */
-    double retireBadSlotFraction = 0.25;
+    static constexpr double retireBadSlotFraction = 0.25;
 
     /**
      * Reject new transactions (TxRejected, ENOSPC-style) once the
@@ -217,17 +219,9 @@ struct SystemConfig
 
     // ---- Baseline parameters ----
 
-    /** Cost of one TLB shootdown charged to OSP commits. */
-    Tick tlbShootdownCost = nsToTicks(1800);
-
-    /** Commit handshake between cache and memory controller (LAD). */
-    Tick ladCommitOverhead = nsToTicks(120);
-
-    /** DRAM access latency used by LSM's software index walks. */
-    Tick dramLatency = nsToTicks(30);
-
-    /** CPU cycles of software bookkeeping per LSM index operation. */
-    unsigned lsmIndexCycles = 24;
+    /** DRAM access latency of LSM's software index walks (a fixed
+     *  model parameter). */
+    static constexpr Tick dramLatency = nsToTicks(30);
 
     // ---- Observability ----
 

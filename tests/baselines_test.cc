@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "baselines/lad_controller.hh"
 #include "baselines/lsm_controller.hh"
 #include "baselines/osp_controller.hh"
 #include "baselines/redo_controller.hh"
 #include "baselines/undo_controller.hh"
+#include "common/errors.hh"
 #include "sim/system.hh"
 
 namespace hoopnvm
@@ -50,6 +52,18 @@ readWord(PersistenceController &c, Addr a)
     std::uint64_t v;
     std::memcpy(&v, buf + (a - lineAddr(a)), 8);
     return v;
+}
+
+/** Test-name suffix: the scheme name with '-' as '_'. */
+std::string
+paramName(const ::testing::TestParamInfo<Scheme> &info)
+{
+    std::string n = schemeName(info.param);
+    for (auto &c : n) {
+        if (c == '-')
+            c = '_';
+    }
+    return n;
 }
 
 /** Parameterized durability contract over all persistent baselines. */
@@ -153,14 +167,152 @@ INSTANTIATE_TEST_SUITE_P(
     AllSchemes, BaselineContract,
     ::testing::Values(Scheme::Hoop, Scheme::OptRedo, Scheme::OptUndo,
                       Scheme::Osp, Scheme::Lsm, Scheme::Lad),
-    [](const ::testing::TestParamInfo<Scheme> &info) {
-        std::string n = schemeName(info.param);
-        for (auto &c : n) {
-            if (c == '-')
-                c = '_';
-        }
-        return n;
-    });
+    paramName);
+
+// ---- Shared log machinery of the four log-backed baselines ----
+
+/** The log ring of a compacting log baseline (redo, undo, LSM). */
+LogRegion &
+logOf(PersistenceController &c)
+{
+    if (auto *r = dynamic_cast<RedoController *>(&c))
+        return r->log();
+    if (auto *u = dynamic_cast<UndoController *>(&c))
+        return u->log();
+    return dynamic_cast<LsmController &>(c).log();
+}
+
+/** Log-backed baseline with runtime fault tolerance switched on. */
+class LogBaseline : public ::testing::TestWithParam<Scheme>
+{
+  protected:
+    static SystemConfig
+    tolerantConfig()
+    {
+        SystemConfig c = baseConfig();
+        c.ft.enabled = true;
+        return c;
+    }
+
+    LogBaseline()
+        : cfg(tolerantConfig()), nvm(cfg.nvmCapacity(), cfg.nvm),
+          ctrl(makeController(GetParam(), nvm, cfg))
+    {
+        nvm.faults().setEcc(cfg.ft.eccCorrectBits);
+        nvm.faults().setTransientFaults(cfg.ft.readRetryMax);
+        nvm.setReadRetryPolicy(cfg.ft.readRetryMax,
+                               cfg.ft.readRetryBackoff,
+                               cfg.ft.eccCorrectCost);
+    }
+
+    SystemConfig cfg;
+    NvmDevice nvm;
+    std::unique_ptr<PersistenceController> ctrl;
+};
+
+TEST_P(LogBaseline, AdmissionRejectsOnceTheLogIsDegraded)
+{
+    // Any retired slot crosses this threshold.
+    cfg.ft.rejectCapacityFraction = 1e-9;
+    // Permanent damage over every free ring slot: the first scrub pass
+    // retires the slots it patrols.
+    for (const auto &[begin, end] : ctrl->freeMediaRanges())
+        nvm.faults().addMediaFault(begin, end,
+                                   MediaFaultKind::StuckAtZero, 1.0, 3);
+    ctrl->scrub(0);
+    ASSERT_GT(ctrl->gauges().retiredUnits, 0u);
+    ASSERT_GE(ctrl->gauges().degradedFraction,
+              cfg.ft.rejectCapacityFraction);
+
+    const std::string scheme_log =
+        GetParam() == Scheme::OptRedo   ? "redo log"
+        : GetParam() == Scheme::OptUndo ? "undo log"
+        : GetParam() == Scheme::Lsm     ? "lsm log"
+                                        : "osp flip log";
+    try {
+        ctrl->txBegin(0, 0);
+        FAIL() << "a degraded log admitted a transaction";
+    } catch (const TxRejected &rj) {
+        EXPECT_EQ(rj.cause, RejectCause::CapacityDegraded);
+        EXPECT_EQ(std::string(rj.detail),
+                  scheme_log + " degraded past the admission threshold "
+                               "by bad-slot retirement");
+    }
+    EXPECT_EQ(ctrl->stats().value("tx_rejected"), 1u);
+    EXPECT_FALSE(ctrl->inTx(0));
+}
+
+TEST_P(LogBaseline, OneScrubPassCountsOnePassAndOnePause)
+{
+    EXPECT_EQ(ctrl->stats().value("scrub_passes"), 0u);
+    ASSERT_NE(ctrl->stats().findHistogram("scrub_pause_ticks"), nullptr);
+    EXPECT_EQ(ctrl->stats().findHistogram("scrub_pause_ticks")->count(),
+              0u);
+    const Tick done = ctrl->scrub(1000);
+    EXPECT_GE(done, 1000u);
+    EXPECT_EQ(ctrl->stats().value("scrub_passes"), 1u);
+    EXPECT_EQ(ctrl->stats().findHistogram("scrub_pause_ticks")->count(),
+              1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(LogSchemes, LogBaseline,
+                         ::testing::Values(Scheme::OptRedo,
+                                           Scheme::OptUndo, Scheme::Lsm,
+                                           Scheme::Osp),
+                         paramName);
+
+/** Redo, undo and LSM compact their log once it passes 3/4 full. */
+class LogPressure : public ::testing::TestWithParam<Scheme>
+{
+  protected:
+    static SystemConfig
+    smallLogConfig()
+    {
+        SystemConfig c = baseConfig();
+        c.auxBytes = kiB(256);
+        return c;
+    }
+
+    LogPressure()
+        : cfg(smallLogConfig()), nvm(cfg.nvmCapacity(), cfg.nvm),
+          ctrl(makeController(GetParam(), nvm, cfg))
+    {
+    }
+
+    SystemConfig cfg;
+    NvmDevice nvm;
+    std::unique_ptr<PersistenceController> ctrl;
+};
+
+TEST_P(LogPressure, ThreeQuartersFullArmsPressureAndMaintenanceTruncates)
+{
+    LogRegion &log = logOf(*ctrl);
+    unsigned tx = 0;
+    while (log.size() * 4 < log.capacity() * 3) {
+        EXPECT_FALSE(ctrl->maintenancePressure())
+            << "armed at " << log.size() << " of " << log.capacity();
+        ctrl->txBegin(0, 0);
+        store(*ctrl, 0, 0x1000 + kCacheLineSize * (tx % 64), tx);
+        ctrl->txEnd(0, 0);
+        ++tx;
+    }
+    EXPECT_FALSE(log.full());
+    EXPECT_TRUE(ctrl->maintenancePressure());
+
+    // Well before the periodic trigger: only the occupancy fires.
+    ctrl->maintenance(1);
+    EXPECT_EQ(log.size(), 0u);
+    EXPECT_FALSE(ctrl->maintenancePressure());
+    EXPECT_EQ(ctrl->stats().value("log_backpressure_stalls"), 0u);
+    const std::uint64_t last = tx - 1;
+    EXPECT_EQ(readWord(*ctrl, 0x1000 + kCacheLineSize * (last % 64)),
+              last);
+}
+
+INSTANTIATE_TEST_SUITE_P(CompactingSchemes, LogPressure,
+                         ::testing::Values(Scheme::OptRedo,
+                                           Scheme::OptUndo, Scheme::Lsm),
+                         paramName);
 
 // ---- Scheme-specific mechanics ----
 

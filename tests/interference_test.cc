@@ -241,6 +241,19 @@ TEST(MissOverlap, DepthOneIsTheDefaultEngineExactly)
     }
 }
 
+TEST(MissOverlap, DepthOneBlocksOnEverySlowFill)
+{
+    // Depth 1 is the blocking core, not the windowed path with a
+    // one-entry window: that path would park this cold miss in the
+    // empty window and charge the core a single opCost.
+    SystemConfig cfg = bench::paperConfig();
+    cfg.numCores = 1;
+    System sys(cfg, Scheme::Native);
+    const Tick before = sys.core(0).clock();
+    sys.loadWord(0, 0x10000);
+    EXPECT_GE(sys.core(0).clock() - before, cfg.nvm.readLatency);
+}
+
 TEST(MissOverlap, DeeperWindowChangesTimingAndStaysCorrect)
 {
     // depth = 4 lets a core keep up to four line fills in flight, so

@@ -1,9 +1,11 @@
 #!/bin/sh
 # Run the jobs of .github/workflows/ci.yml that need no network (the
-# Werror Release build and ctest, hoop_lint, and the crashcheck,
-# ordercheck, soak and fleet sweeps with their seeded-bug self-checks)
-# with the same commands and pass/fail rules. Keep it in step with
-# ci.yml. Usage, from the repository root:
+# Werror Release build and ctest, hoop_lint, the crashcheck,
+# ordercheck, soak and fleet sweeps with their seeded-bug self-checks,
+# and the bench, interference, trace and perf smoke jobs) with the same
+# commands and pass/fail rules. The sanitizer and clang-tidy jobs are
+# not run. Keep it in step with ci.yml. Usage, from the repository
+# root:
 #
 #   tools/ci_local.sh [build-dir]      (default build-ci)
 #
@@ -144,5 +146,89 @@ step "fleet: ack-before-durable must be caught and replay"
 fail_if_clean "$tools/hoop_fleet" --scheme hoop --chaos crashes \
     --shards 4 --requests 600 --inject-ack-bug --out "$out/fleet-bug"
 replay_fails hoop_fleet "$out/fleet-bug" fleet
+
+# The installed google-benchmark may predate the "0.01s" form ci.yml
+# passes; a plain number means seconds to old and new versions alike.
+min_time=--benchmark_min_time=0.01
+
+step "bench smoke: every bench binary at HOOP_BENCH_TX=3"
+mkdir -p "$out/bench-json"
+for b in "$build"/bench/bench_*; do
+    echo "$b"
+    HOOP_BENCH_TX=3 HOOP_BENCH_JSON_DIR="$out/bench-json" "$b" \
+        "$min_time" > /dev/null
+done
+n=$(ls "$out"/bench-json/BENCH_*.json | wc -l)
+[ "$n" -eq 13 ] || fail "expected 13 bench JSON files, got $n"
+
+step "interference smoke: hoop+redo sweep, -j1 vs -j4 byte-identical"
+mkdir -p "$out/interference-j1" "$out/interference-j4"
+HOOP_BENCH_TX=10 HOOP_BENCH_DETERMINISTIC=1 \
+    HOOP_BENCH_JSON_DIR="$out/interference-j1" \
+    "$build/bench/bench_interference" --schemes=hoop,redo -j1 \
+    > "$out/interference-j1.out"
+grep -q "Saturation sweep" "$out/interference-j1.out"
+HOOP_BENCH_TX=10 HOOP_BENCH_DETERMINISTIC=1 \
+    HOOP_BENCH_JSON_DIR="$out/interference-j4" \
+    "$build/bench/bench_interference" --schemes=hoop,redo -j4 \
+    > "$out/interference-j4.out"
+cmp "$out/interference-j1.out" "$out/interference-j4.out"
+cmp "$out/interference-j1/BENCH_interference.json" \
+    "$out/interference-j4/BENCH_interference.json"
+python3 - "$out/interference-j1/BENCH_interference.json" << 'PY'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert r["schema_version"] == 5, r["schema_version"]
+cells = r["cells"]
+# hoop+redo x 3 saturations x 2 mixes
+assert len(cells) == 12, len(cells)
+roles = {"log_append", "point_read", "seq_scan", "gc_pressure"}
+for c in cells:
+    m = c["metrics"]
+    for k in ("channel_busy_ticks", "channel_wait_ticks",
+              "drain_fences", "channel_utilization"):
+        assert k in m, f'{c["label"]} missing {k}'
+    got = {x["role"] for x in m["roles"]}
+    assert got == roles, f'{c["label"]}: roles {got}'
+    for x in m["roles"]:
+        assert x["transactions"] > 0, c["label"]
+        lat = x["latency"]
+        for k in ("count", "p99_ns", "p99_saturated"):
+            assert k in lat, f'{c["label"]} latency missing {k}'
+print(f"{len(cells)} cells OK, roles block complete")
+PY
+
+step "trace smoke: Chrome trace JSON validity"
+"$tools/hoop_trace" --scheme hoop --workload hashmap --txs 200 --crash \
+    --out "$out/trace_hoop.json"
+python3 -m json.tool "$out/trace_hoop.json" > /dev/null
+HOOP_TRACE="$out/trace_redo.json" "$tools/hoop_trace" --scheme redo \
+    --workload vector --txs 100 --out "$out/trace_redo.json"
+python3 -m json.tool "$out/trace_redo.json" > /dev/null
+python3 - "$out/trace_hoop.json" << 'PY'
+import json, sys
+ev = json.load(open(sys.argv[1]))["traceEvents"]
+names = {e["name"] for e in ev}
+missing = {"tx", "gc", "recovery"} - names
+assert not missing, f"trace missing spans: {missing}"
+spans = [e for e in ev if e.get("ph") == "X"]
+assert spans, "no complete spans in trace"
+assert all(e["dur"] >= 0 for e in spans), "negative duration"
+print(f"{len(ev)} events, span names: {sorted(names)}")
+PY
+
+step "perf smoke: simulation-throughput floor"
+mkdir -p "$out/perf-json"
+HOOP_BENCH_TX=200 HOOP_BENCH_JSON_DIR="$out/perf-json" \
+    "$build/bench/bench_fig10_gc_period" --profile "$min_time" > /dev/null
+python3 - "$out/perf-json/BENCH_fig10_gc_period.json" << 'PY'
+import json, sys
+ticks_per_sec = json.load(open(sys.argv[1]))["host"]["sim_ticks_per_sec"]
+FLOOR = 2e9  # the ci.yml floor; catches order-of-magnitude regressions
+print(f"sim_ticks_per_sec = {ticks_per_sec:.3g} (floor {FLOOR:.3g})")
+assert ticks_per_sec >= FLOOR, (
+    f"simulation throughput {ticks_per_sec:.3g} ticks/s fell below "
+    f"the {FLOOR:.3g} floor -- a fast-path regression?")
+PY
 
 echo "ci_local: all jobs passed"
