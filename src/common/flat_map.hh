@@ -2,7 +2,7 @@
  * @file
  * Open-addressed hash map from 64-bit keys to POD values, shared by the
  * simulator's metadata hot paths (coherence sharer masks, home-region
- * freshness watermarks, GC coalescing, recovery replay).
+ * freshness watermarks, recovery's transaction census).
  *
  * The layout follows the MappingTable model that PR 2 proved out:
  * linear probing over a power-of-two slot array with backward-shift
@@ -14,9 +14,7 @@
  * The value array is deliberately left uninitialized (and clear()
  * keeps the allocation): a slot's value is written by operator[]
  * before it becomes reachable, so zeroing it wholesale on every
- * growth step would only add memory traffic — with multi-hundred-byte
- * accumulator values (the GC and recovery line accumulators) that
- * zeroing dominated the map's cost.
+ * growth step would only add memory traffic.
  *
  * Constraints: keys must never equal kEmptyKey (all-ones — impossible
  * for the simulated addresses and sequence-assigned ids stored here),
@@ -24,7 +22,7 @@
  * assignment during growth and deletion). Iteration via forEach visits
  * slots in table order, which depends on the insertion history; callers
  * whose observable behaviour depends on order must sort what they
- * collect (the GC and recovery paths do).
+ * collect.
  */
 
 #ifndef HOOPNVM_COMMON_FLAT_MAP_HH

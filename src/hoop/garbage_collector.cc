@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <utility>
 #include <vector>
 
-#include "common/flat_map.hh"
 #include "common/host_profiler.hh"
 #include "common/logging.hh"
 #include "hoop/hoop_controller.hh"
+#include "hoop/line_coalescer.hh"
 #include "stats/trace.hh"
 
 namespace hoopnvm
@@ -98,34 +97,15 @@ GarbageCollector::run(Tick now)
     TraceBuffer *const tr = ctrl.trace();
     const unsigned gc_tid = ctrl.cfg.numCores;
 
-    // ---- Step 2: scan committed slices and coalesce (Algorithm 1) ----
-    // Coalesce at line granularity: one open-addressed probe per word
-    // into a per-line accumulator (8 seq/value pairs plus a presence
-    // mask) instead of a hash-map node per word plus a second
-    // tree-of-lines grouping pass. Slice seqs start at 1, so the
-    // value-initialized seqs[] == 0 means "no update yet" and the
-    // original per-word max-seq-wins rule carries over unchanged.
-    struct LineAcc
-    {
-        std::uint64_t seqs[kWordsPerLine];
-        std::uint64_t vals[kWordsPerLine];
-        std::uint8_t mask;
-    };
-    FlatMap<LineAcc> coalesced;
-    // Packing fills slices with spatially adjacent words, so
-    // consecutive words usually hit the same line: memoize the last
-    // accumulator to skip the probe. The pointer stays valid between
-    // reassignments — the table can only grow on a new-line insert,
-    // which is exactly when the memo is refreshed.
-    Addr memo_line = kInvalidAddr;
-    LineAcc *memo_acc = nullptr;
-    struct RawWord
-    {
-        std::uint64_t seq;
-        Addr addr;
-        std::uint64_t value;
-    };
-    std::vector<RawWord> raw; // used only when coalescing is disabled
+    // ---- Step 2: scan committed slices (Algorithm 1) ----
+    // Every word update is recorded in scan order; step 3 coalesces
+    // them. A block holds at most writePtr slices of kMaxWords words,
+    // which bounds the record count without a pre-scan.
+    std::size_t max_words = 0;
+    for (std::uint32_t b : cand)
+        max_words += region.block(b).writePtr * MemorySlice::kMaxWords;
+    std::vector<WordRecord> recs;
+    recs.reserve(max_words);
 
     Tick last = now;
     for (std::uint32_t b : cand) {
@@ -158,26 +138,8 @@ GarbageCollector::run(Tick now)
             // isCommitted probe is needed here.
             scannedWordBytes_ +=
                 static_cast<std::uint64_t>(s.count) * kWordSize;
-            for (unsigned i = 0; i < s.count; ++i) {
-                if (ctrl.cfg.gcCoalescing) {
-                    const Addr a = s.homeAddrs[i];
-                    const Addr la = lineAddr(a);
-                    if (la != memo_line) {
-                        memo_acc = &coalesced[la];
-                        memo_line = la;
-                    }
-                    LineAcc &g = *memo_acc;
-                    const unsigned w =
-                        static_cast<unsigned>((a - la) / kWordSize);
-                    if (s.seq >= g.seqs[w]) {
-                        g.seqs[w] = s.seq;
-                        g.vals[w] = s.words[i];
-                        g.mask |= static_cast<std::uint8_t>(1u << w);
-                    }
-                } else {
-                    raw.push_back({s.seq, s.homeAddrs[i], s.words[i]});
-                }
-            }
+            for (unsigned i = 0; i < s.count; ++i)
+                recs.push_back({s.homeAddrs[i], s.seq, s.words[i]});
         }
     }
 
@@ -187,25 +149,10 @@ GarbageCollector::run(Tick now)
 
     // ---- Step 3: migrate to the home region ----
     if (ctrl.cfg.gcCoalescing) {
-        // Each accumulated line is written home once, in ascending
-        // line-address order — the same order the previous tree-of-
-        // lines pass produced, so write timing, crash points and the
-        // eviction-buffer contents are bit-identical.
-        // Copy the accumulators out alongside their line addresses:
-        // the migration loop then streams through a sorted array
-        // instead of re-probing the hash table once per line (each
-        // probe is a dependent random access into a table far larger
-        // than the host LLC).
-        std::vector<std::pair<Addr, LineAcc>> lines;
-        lines.reserve(coalesced.size());
-        coalesced.forEach([&](Addr line, const LineAcc &g) {
-            lines.emplace_back(line, g);
-        });
-        std::sort(lines.begin(), lines.end(),
-                  [](const auto &a, const auto &b) {
-                      return a.first < b.first;
-                  });
-        for (const auto &[line, g] : lines) {
+        // Each coalesced line is written home once, in ascending
+        // line-address order, so write timing, crash points and the
+        // eviction-buffer contents follow the line order alone.
+        coalesceLines(recs, [&](Addr line, const LineAcc &g) {
             std::uint64_t max_seq = 0;
             for (std::size_t w = 0; w < kWordsPerLine; ++w) {
                 if (g.mask & (1u << w))
@@ -242,15 +189,15 @@ GarbageCollector::run(Tick now)
             migratedWordBytes_ +=
                 static_cast<std::uint64_t>(std::popcount(g.mask)) *
                 kWordSize;
-        }
+        });
     } else {
         // Ablation: apply every update individually in age order —
         // a read-modify-write of the home line per scanned word.
-        std::sort(raw.begin(), raw.end(),
-                  [](const RawWord &a, const RawWord &b) {
+        std::sort(recs.begin(), recs.end(),
+                  [](const WordRecord &a, const WordRecord &b) {
                       return a.seq < b.seq;
                   });
-        for (const RawWord &w : raw) {
+        for (const WordRecord &w : recs) {
             ctrl.crashStep(CrashPointKind::GcStep);
             const Addr line = lineAddr(w.addr);
             if (ctrl.homeFresherThan(line, w.seq))

@@ -3,9 +3,10 @@
  * HOOP's adaptive garbage collector (paper §III-E, Algorithm 1).
  *
  * GC selects full OOP blocks whose transactions have all committed,
- * coalesces every word update found in them (latest version wins) into
- * a hash map, migrates the coalesced lines to the home region, removes
- * the corresponding mapping-table entries, and recycles the blocks.
+ * coalesces every word update found in them (latest version wins) per
+ * home line (line_coalescer.hh), migrates the coalesced lines to the
+ * home region, removes the corresponding mapping-table entries, and
+ * recycles the blocks.
  *
  * Two refinements over the paper's Algorithm 1 pseudo-code are needed
  * for strict correctness, both noted in DESIGN.md:

@@ -10,6 +10,7 @@
 #include "common/flat_map.hh"
 #include "common/logging.hh"
 #include "hoop/hoop_controller.hh"
+#include "hoop/line_coalescer.hh"
 #include "stats/trace.hh"
 
 namespace hoopnvm
@@ -27,16 +28,6 @@ struct TxInfo
     std::uint32_t found = 0;
     std::uint64_t commitSeq = 0;
     bool committed = false;
-};
-
-/** The winning versions of one home line during replay: per-word
- *  max-seq-wins accumulators plus a presence mask. Slice seqs start
- *  at 1, so seqs[] == 0 means "no update". */
-struct LineAcc
-{
-    std::uint64_t seqs[kWordsPerLine];
-    std::uint64_t vals[kWordsPerLine];
-    std::uint8_t mask;
 };
 
 } // namespace
@@ -74,21 +65,21 @@ RecoveryManager::run(unsigned threads,
     // and a committed transaction that may have lost chain slices to
     // corruption is dropped whole — recovery must never surface a
     // partial transaction. ----
-    // Word-carrying slices the phase-1 scan accepted, in scan order.
-    // Phase 2 replays straight from this cache instead of re-reading
-    // and re-CRC-checking every slice off the device: acceptance
-    // already proved crcOk, and the slots phase 2 used to re-scan but
-    // phase 1 did not accept (program-verify-skipped bad slots) fail
-    // their CRC there too, so the cached set IS phase 2's working set.
-    std::vector<MemorySlice> replayable;
-    // Reserve up to the region's slot count (the hard upper bound on
-    // accepted slices), capped so a huge sparsely-filled region does
-    // not commit gigabytes up front — beyond the cap growth falls
-    // back to the usual geometric schedule.
-    replayable.reserve(std::min<std::size_t>(
+    // The words of every word-carrying slice the phase-1 scan accepted,
+    // in scan order, plus each such slice's (tx, word count), so phases
+    // 2-3 replay without re-reading or re-CRC-checking any slice:
+    // acceptance already proved crcOk. Reserve up to the region's slot
+    // count (the hard upper bound on accepted slices), capped so a
+    // huge sparsely-filled region does not commit gigabytes up front —
+    // beyond the cap growth falls back to the usual geometric schedule.
+    const std::size_t max_slices = std::min<std::size_t>(
         static_cast<std::size_t>(region.numBlocks()) *
             region.slicesPerBlock(),
-        std::size_t{1} << 19));
+        std::size_t{1} << 19);
+    std::vector<WordRecord> recs;
+    recs.reserve(max_slices * MemorySlice::kMaxWords);
+    std::vector<std::pair<TxId, unsigned>> slice_words;
+    slice_words.reserve(max_slices);
     FlatMap<TxInfo> txs;
     std::uint64_t max_commit = 0;
     // Lowest slice sequence number a corruption cut could have
@@ -213,8 +204,11 @@ RecoveryManager::run(unsigned threads,
             res.maxSeq = std::max(res.maxSeq, s.seq);
             if (s.txId != kInvalidTxId)
                 res.maxTxId = std::max(res.maxTxId, s.txId);
-            if (s.carriesWords())
-                replayable.push_back(s);
+            if (s.carriesWords()) {
+                for (unsigned w = 0; w < s.count; ++w)
+                    recs.push_back({s.homeAddrs[w], s.seq, s.words[w]});
+                slice_words.emplace_back(s.txId, s.count);
+            }
             if (s.type == SliceType::Data) {
                 if (s.txId != kInvalidTxId)
                     ++txs[s.txId].found;
@@ -263,64 +257,35 @@ RecoveryManager::run(unsigned threads,
     }
     res.committedTxReplayed = replayed;
 
-    // ---- Phase 2: scan committed slices into a line-keyed
-    // accumulator. Every committed Data or Evict slice contributes its
-    // words, and the highest sequence number wins. GC only ever
-    // recycles sequence-order prefixes of the log, so every surviving
-    // slice is newer than the home baseline and straight overlay is
-    // safe. The `threads` parameter models the recovery engine's
-    // parallelism and enters only the phase-4 time formula: the merge
-    // rule is associative and commutative, so one host-side pass
-    // computes the identical winner set the previous per-thread
-    // maps-then-merge arrangement did, without the rendezvous cost. ----
-    FlatMap<LineAcc> winners;
-    // Last-line memo: slices pack consecutive words of one store burst,
-    // so successive words usually land on the same home line. The
-    // cached pointer can only be invalidated by table growth, which
-    // only happens on a new-line insert — exactly when the memo
-    // refreshes.
-    Addr memo_line = kInvalidAddr;
-    LineAcc *memo_acc = nullptr;
-    for (const MemorySlice &s : replayable) {
-        const TxInfo *ti = txs.find(s.txId);
-        if (!ti || !ti->committed)
-            continue;
-        for (unsigned w = 0; w < s.count; ++w) {
-            const Addr a = s.homeAddrs[w];
-            const Addr la = lineAddr(a);
-            if (la != memo_line) {
-                memo_acc = &winners[la];
-                memo_line = la;
+    // ---- Phases 2-3: coalesce the committed slices' words per home
+    // line and write the winners home. Every committed Data or Evict
+    // slice contributes its words, and the highest sequence number
+    // wins. GC only ever recycles sequence-order prefixes of the log,
+    // so every surviving slice is newer than the home baseline and
+    // straight overlay is safe. Lines are written in ascending address
+    // order, which fixes the crash-point schedule. The `threads`
+    // parameter models the recovery engine's parallelism and enters
+    // only the phase-4 time formula: the merge rule is associative and
+    // commutative, so one host pass computes the winner set any
+    // partition over workers would. ----
+    // Drop the words of uncommitted transactions: a stable in-place
+    // compaction, so the kept words stay in scan order.
+    std::size_t kept = 0;
+    std::size_t next = 0;
+    for (const auto &[tx, count] : slice_words) {
+        const TxInfo *ti = txs.find(tx);
+        if (ti && ti->committed) {
+            if (kept != next) {
+                std::copy(recs.begin() + next, recs.begin() + next + count,
+                          recs.begin() + kept);
             }
-            LineAcc &g = *memo_acc;
-            const unsigned wi =
-                static_cast<unsigned>((a - la) / kWordSize);
-            if (s.seq >= g.seqs[wi]) {
-                g.seqs[wi] = s.seq;
-                g.vals[wi] = s.words[w];
-                g.mask |= static_cast<std::uint8_t>(1u << wi);
-            }
+            kept += count;
         }
+        next += count;
     }
-
-    // ---- Phase 3: write the winners home, in ascending line-address
-    // order (the order the previous tree-of-lines pass produced, so
-    // the crash-point schedule is unchanged) ----
-    // Copy the accumulators out alongside their line addresses so the
-    // write-back loop streams through a sorted array instead of
-    // re-probing the hash table once per line.
+    recs.resize(kept);
     std::uint64_t distinct_words = 0;
-    std::vector<std::pair<Addr, LineAcc>> lines;
-    lines.reserve(winners.size());
-    winners.forEach([&](Addr line, const LineAcc &g) {
-        lines.emplace_back(line, g);
-        distinct_words += std::popcount(g.mask);
-    });
-    std::sort(lines.begin(), lines.end(),
-              [](const auto &a, const auto &b) {
-                  return a.first < b.first;
-              });
-    for (const auto &[line, g] : lines) {
+    coalesceLines(recs, [&](Addr line, const LineAcc &g) {
         // Crash point: between home-line replay writes. The OOP region
         // is untouched until recoverWithFilter() resets it after run()
         // returns, so a second recovery redoes the overlay idempotently
@@ -334,7 +299,8 @@ RecoveryManager::run(unsigned threads,
         }
         ctrl.nvm_.poke(line, buf, kCacheLineSize);
         ++res.homeLinesWritten;
-    }
+        distinct_words += std::popcount(g.mask);
+    });
 
     // ---- Phase 4: timing model (Fig. 11) ----
     // Both scan passes and the write-back stream are limited by channel

@@ -1,20 +1,22 @@
 /**
  * @file
- * Multi-threaded crash recovery for HOOP (paper §III-F).
+ * Crash recovery for HOOP (paper §III-F).
  *
  * Recovery works purely from durable NVM bytes: it scans the OOP
  * blocks named live by their headers, collects address slices (commit
- * records), distributes the committed transactions round-robin over
- * recovery worker threads, has each worker walk its chains into a local
- * hash map (latest version per word, ordered by commit id and position
- * in the chain), merges the local maps, and writes the winning versions
- * back to their home addresses.
+ * records), and replays the words of every committed transaction's
+ * slices in one host pass: the line coalescer (line_coalescer.hh)
+ * folds them into the latest version per word (highest slice sequence
+ * number wins) and the winning lines are written back to their home
+ * addresses in ascending address order.
  *
- * The *functional* replay really runs on std::thread workers; the
- * *timing* reported follows the paper's machine model: the scan and
- * write-back phases are limited by NVM channel bandwidth, while the
- * per-slice parsing work scales with the number of recovery threads
- * (Fig. 11's two axes).
+ * The *timing* reported follows the paper's machine model: the scan
+ * and write-back phases are limited by NVM channel bandwidth, while
+ * the per-slice parsing work divides across the `threads` recovery
+ * threads (Fig. 11's two axes). `threads` enters only that time
+ * formula; the functional replay is the same single pass for any
+ * thread count, since max-seq-wins merging gives the same winners
+ * under any partition of the slices.
  *
  * Fault tolerance: nothing read from NVM is trusted without its CRC.
  * A torn or corrupt slice ends its block's live area; a corrupt
@@ -113,14 +115,15 @@ struct RecoveryResult
     std::uint64_t slicesSkippedBad = 0;
 };
 
-/** Parallel replay of committed transactions from the OOP region. */
+/** Replay of committed transactions from the OOP region. */
 class RecoveryManager
 {
   public:
     explicit RecoveryManager(HoopController &ctrl);
 
     /**
-     * Recover the home region using @p threads workers. On return the
+     * Recover the home region, modelling @p threads recovery threads
+     * in the reported time. On return the
      * home region holds exactly the committed state, and the OOP
      * region, mapping table and eviction buffer are cleared.
      */

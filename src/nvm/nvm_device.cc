@@ -10,7 +10,8 @@ namespace hoopnvm
 
 NvmDevice::NvmDevice(std::uint64_t capacity, NvmTiming timing,
                      EnergyParams energy)
-    : capacity_(capacity), timing_(timing), energy_(energy)
+    : capacity_(capacity), timing_(timing), energy_(energy),
+      pages((capacity + kPageBytes - 1) / kPageBytes)
 {
     HOOP_ASSERT(capacity_ > 0, "NVM capacity must be non-zero");
 }
@@ -20,18 +21,10 @@ NvmDevice::pageFor(Addr addr)
 {
     HOOP_ASSERT(addr < capacity_, "NVM address 0x%llx out of range",
                 static_cast<unsigned long long>(addr));
-    const std::uint64_t idx = addr / kPageBytes;
-    const std::size_t slot = idx & (kPageCacheSlots - 1);
-    if (cachedPageIdx_[slot] == idx + 1)
-        return *cachedPage_[slot];
-    auto &entry = pages[idx];
-    if (!entry) {
-        entry = std::make_unique<Page>();
-        entry->fill(0);
-    }
-    cachedPageIdx_[slot] = idx + 1;
-    cachedPage_[slot] = entry.get();
-    return *entry;
+    std::unique_ptr<Page> &page = pages[addr / kPageBytes];
+    if (!page)
+        page = std::make_unique<Page>(); // value-initialized: zeros
+    return *page;
 }
 
 const NvmDevice::Page *
@@ -39,22 +32,7 @@ NvmDevice::pageIfPresent(Addr addr) const
 {
     HOOP_ASSERT(addr < capacity_, "NVM address 0x%llx out of range",
                 static_cast<unsigned long long>(addr));
-    const std::uint64_t idx = addr / kPageBytes;
-    const std::size_t slot = idx & (kPageCacheSlots - 1);
-    if (cachedPageIdx_[slot] == idx + 1)
-        return cachedPage_[slot];
-    auto it = pages.find(idx);
-    if (it == pages.end())
-        return nullptr; // absent pages are not cached: they may appear
-    cachedPageIdx_[slot] = idx + 1;
-    cachedPage_[slot] = it->second.get();
-    return it->second.get();
-}
-
-void
-NvmDevice::flushPageCache() const
-{
-    cachedPageIdx_.fill(0);
+    return pages[addr / kPageBytes].get();
 }
 
 Tick
@@ -268,8 +246,8 @@ NvmDevice::resetCounters()
 void
 NvmDevice::clear()
 {
-    pages.clear();
-    flushPageCache();
+    for (std::unique_ptr<Page> &page : pages)
+        page.reset();
     channelFree_ = 0;
     faults_.reset();
     resetCounters();

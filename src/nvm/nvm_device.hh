@@ -2,11 +2,13 @@
  * @file
  * Byte-addressable NVM device model.
  *
- * The device is both *functional* (it stores real bytes, sparsely backed
- * so a 512 GB simulated capacity costs only what is touched) and *timed*
- * (each accounted access reserves the channel, so background traffic such
- * as garbage collection or asynchronous log checkpointing contends with
- * foreground fills exactly as it would on real hardware).
+ * The device is both *functional* (it stores real bytes in 4 KiB
+ * pages allocated on first write; the page table costs 8 B per 4 KiB
+ * of capacity, about 1.1 MiB for a 560 MiB device, plus the touched
+ * pages) and *timed* (each accounted access reserves the channel, so
+ * background traffic such as garbage collection or asynchronous log
+ * checkpointing contends with foreground fills exactly as it would on
+ * real hardware).
  *
  * Timing model: an access starting at time `now` begins transferring at
  * `start = max(now, channel_free)`; the channel is occupied for the
@@ -33,7 +35,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/types.hh"
 #include "nvm/energy_model.hh"
@@ -45,7 +47,7 @@
 namespace hoopnvm
 {
 
-/** Sparse, timed, byte-addressable non-volatile memory device. */
+/** Timed, byte-addressable non-volatile memory device. */
 class NvmDevice
 {
   public:
@@ -197,24 +199,11 @@ class NvmDevice
     static constexpr std::uint64_t kPageBytes = 4096;
     using Page = std::array<std::uint8_t, kPageBytes>;
 
-    /**
-     * Direct-mapped cache of page-table resolutions, sized so the hot
-     * working set of a bench cell (home lines, OOP block, log head)
-     * hits without a hash lookup. Entries store page_index + 1 so a
-     * zero-filled cache is all-empty. The cached Page pointers stay
-     * valid across page-table rehashes because pages are owned by
-     * unique_ptr (the map moves the owner, not the page).
-     */
-    static constexpr std::size_t kPageCacheSlots = 256;
-
     /** Backing page for @p addr, created zero-filled on demand. */
     Page &pageFor(Addr addr);
 
     /** Backing page for @p addr if it exists, else nullptr. */
     const Page *pageIfPresent(Addr addr) const;
-
-    /** Drop every cached page resolution. */
-    void flushPageCache() const;
 
     /** peek() without the media-fault filter (pre-image capture). */
     void peekRaw(Addr addr, void *buf, std::size_t len) const;
@@ -226,13 +215,8 @@ class NvmDevice
     NvmTiming timing_;
     EnergyModel energy_;
     FaultModel faults_;
-    std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages;
-
-    // mutable: peek() is logically const but warms the resolution
-    // cache. The device is owned by a single simulated System, so
-    // there is no concurrent access to guard.
-    mutable std::array<std::uint64_t, kPageCacheSlots> cachedPageIdx_{};
-    mutable std::array<Page *, kPageCacheSlots> cachedPage_{};
+    /** Page table indexed by page number; null until first written. */
+    std::vector<std::unique_ptr<Page>> pages;
 
     NvmWriteObserver *observer_ = nullptr;
     Tick channelFree_ = 0;

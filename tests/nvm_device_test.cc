@@ -154,6 +154,57 @@ TEST(NvmDevice, ClearDropsState)
 }
 
 // ---------------------------------------------------------------------
+// Page table: one entry per 4 KiB of capacity, the last one partial.
+// ---------------------------------------------------------------------
+
+TEST(NvmPageTable, PartialLastPageReadsAndWrites)
+{
+    const std::uint64_t cap = miB(1) + 64; // last page holds one line
+    NvmDevice dev(cap, testTiming());
+    const Addr last_line = cap - kCacheLineSize;
+    std::uint8_t in[kCacheLineSize];
+    for (std::size_t i = 0; i < sizeof(in); ++i)
+        in[i] = static_cast<std::uint8_t>(0xa0 + i);
+    dev.write(0, last_line, in, sizeof(in));
+    std::uint8_t out[kCacheLineSize] = {};
+    dev.read(0, last_line, out, sizeof(out));
+    EXPECT_EQ(std::memcmp(in, out, sizeof(in)), 0);
+    std::memset(out, 0, sizeof(out));
+    dev.peek(last_line, out, sizeof(out));
+    EXPECT_EQ(std::memcmp(in, out, sizeof(in)), 0);
+}
+
+TEST(NvmPageTable, NeverWrittenLastPageReadsZero)
+{
+    const std::uint64_t cap = miB(1) + 64;
+    NvmDevice dev(cap, testTiming());
+    dev.pokeWord(0, 7); // populate a different page
+    std::uint8_t buf[kCacheLineSize];
+    std::memset(buf, 0xab, sizeof(buf));
+    dev.read(0, cap - kCacheLineSize, buf, sizeof(buf));
+    for (auto b : buf)
+        EXPECT_EQ(b, 0);
+    EXPECT_EQ(dev.peekWord(miB(1) - kWordSize), 0u);
+}
+
+TEST(NvmPageTable, ClearZeroesEveryWrittenPage)
+{
+    const std::uint64_t cap = miB(1) + 64;
+    NvmDevice dev(cap, testTiming());
+    const Addr addrs[] = {0, 4096, kiB(512) + 8, cap - kWordSize};
+    for (Addr a : addrs)
+        dev.pokeWord(a, a + 1);
+    for (Addr a : addrs)
+        ASSERT_EQ(dev.peekWord(a), a + 1);
+    dev.clear();
+    for (Addr a : addrs)
+        EXPECT_EQ(dev.peekWord(a), 0u) << "addr " << a;
+    // The table survives clear(): pages come back on the next write.
+    dev.pokeWord(cap - kWordSize, 99);
+    EXPECT_EQ(dev.peekWord(cap - kWordSize), 99u);
+}
+
+// ---------------------------------------------------------------------
 // PR 10 channel-accounting regressions.
 // ---------------------------------------------------------------------
 

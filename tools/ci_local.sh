@@ -1,15 +1,16 @@
 #!/bin/sh
 # Run the jobs of .github/workflows/ci.yml that need no network (the
-# Werror Release build and ctest, hoop_lint, the crashcheck,
-# ordercheck, soak and fleet sweeps with their seeded-bug self-checks,
-# and the bench, interference, trace and perf smoke jobs) with the same
-# commands and pass/fail rules. The sanitizer and clang-tidy jobs are
-# not run. Keep it in step with ci.yml. Usage, from the repository
-# root:
+# Werror Release build and ctest, the ASan and UBSan builds and their
+# ctest, hoop_lint, the crashcheck, ordercheck, soak and fleet sweeps
+# with their seeded-bug self-checks, and the bench, interference, trace
+# and perf smoke jobs) with the same commands and pass/fail rules. The
+# TSan and clang-tidy jobs are not run. Keep it in step with ci.yml.
+# Usage, from the repository root:
 #
 #   tools/ci_local.sh [build-dir]      (default build-ci)
 #
-# Outputs go to <build-dir>/ci-out; the first failing job stops it.
+# The sanitizer builds go to <build-dir>/asan and <build-dir>/ubsan,
+# outputs to <build-dir>/ci-out; the first failing job stops it.
 
 set -eu
 build=${1:-build-ci}
@@ -48,6 +49,18 @@ cmake --build "$build" -j"$jobs"
 
 step "ctest"
 (cd "$build" && ctest --output-on-failure -j"$jobs")
+
+step "ASan+UBSan build and ctest"
+cmake -B "$build/asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DHOOP_SANITIZE=address
+cmake --build "$build/asan" -j"$jobs"
+ctest --test-dir "$build/asan" --output-on-failure -j"$jobs"
+
+step "UBSan build (warnings as errors) and ctest"
+cmake -B "$build/ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DHOOP_SANITIZE=undefined -DHOOP_WERROR=ON
+cmake --build "$build/ubsan" -j"$jobs"
+ctest --test-dir "$build/ubsan" --output-on-failure -j"$jobs"
 
 rm -rf "$out"
 mkdir -p "$out"
