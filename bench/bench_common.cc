@@ -62,135 +62,6 @@ resolveJobs(unsigned requested)
     return hw >= 1 ? hw : 1;
 }
 
-void
-fputJsonString(std::FILE *f, const std::string &s)
-{
-    std::fputc('"', f);
-    std::fputs(jsonEscape(s).c_str(), f);
-    std::fputc('"', f);
-}
-
-void
-fputKey(std::FILE *f, const char *key)
-{
-    // lint: raw-json-ok (keys are compile-time identifiers; runtime values go through fputJsonString)
-    std::fprintf(f, "\"%s\": ", key);
-}
-
-void
-fputNum(std::FILE *f, const char *key, double v)
-{
-    fputKey(f, key);
-    std::fprintf(f, "%.17g", v);
-}
-
-void
-fputNum(std::FILE *f, const char *key, std::uint64_t v)
-{
-    fputKey(f, key);
-    std::fprintf(f, "%llu", static_cast<unsigned long long>(v));
-}
-
-void
-fputSummary(std::FILE *f, const char *key, const LatencySummary &s)
-{
-    fputKey(f, key);
-    std::fputc('{', f);
-    fputNum(f, "count", s.count);
-    std::fputs(", ", f);
-    fputNum(f, "p50_ns", s.p50Ns);
-    std::fputs(", ", f);
-    fputNum(f, "p95_ns", s.p95Ns);
-    std::fputs(", ", f);
-    fputNum(f, "p99_ns", s.p99Ns);
-    std::fputs(", ", f);
-    fputNum(f, "p999_ns", s.p999Ns);
-    std::fputs(", ", f);
-    fputNum(f, "max_ns", s.maxNs);
-    std::fputs(", ", f);
-    fputNum(f, "mean_ns", s.meanNs);
-    // Schema v5: saturation markers (0/1) — the matching quantile is
-    // the exact max under Histogram's small-population rule, not a
-    // resolved quantile.
-    std::fputs(", ", f);
-    fputNum(f, "p50_saturated", std::uint64_t{s.p50Saturated});
-    std::fputs(", ", f);
-    fputNum(f, "p95_saturated", std::uint64_t{s.p95Saturated});
-    std::fputs(", ", f);
-    fputNum(f, "p99_saturated", std::uint64_t{s.p99Saturated});
-    std::fputs(", ", f);
-    fputNum(f, "p999_saturated", std::uint64_t{s.p999Saturated});
-    std::fputc('}', f);
-}
-
-void
-fputRoles(std::FILE *f, const std::vector<RoleMetrics> &roles)
-{
-    // Schema v5: per-role interference slices. Always emitted; empty
-    // for every workload outside the interference suite so the schema
-    // stays uniform across benches.
-    fputKey(f, "roles");
-    std::fputc('[', f);
-    bool first = true;
-    for (const RoleMetrics &r : roles) {
-        std::fputs(first ? "{" : ", {", f);
-        first = false;
-        fputKey(f, "role");
-        fputJsonString(f, r.name);
-        std::fputs(", ", f);
-        fputNum(f, "transactions", r.transactions);
-        std::fputs(", ", f);
-        fputNum(f, "tx_per_second", r.txPerSecond);
-        std::fputs(", ", f);
-        fputSummary(f, "latency", r.latency);
-        std::fputc('}', f);
-    }
-    std::fputc(']', f);
-}
-
-void
-fputEpochs(std::FILE *f, const std::vector<EpochSample> &epochs)
-{
-    fputKey(f, "epochs");
-    std::fputc('[', f);
-    bool first = true;
-    for (const EpochSample &e : epochs) {
-        std::fputs(first ? "{" : ", {", f);
-        first = false;
-        fputNum(f, "at_ticks", e.at);
-        std::fputs(", ", f);
-        fputNum(f, "mapping_entries", e.mappingEntries);
-        std::fputs(", ", f);
-        fputNum(f, "struct_bytes", e.structBytes);
-        std::fputs(", ", f);
-        fputNum(f, "backpressure_stalls", e.backpressureStalls);
-        std::fputs(", ", f);
-        fputNum(f, "inflight_writes", e.inflightWrites);
-        std::fputs(", ", f);
-        fputNum(f, "retired_units", e.retiredUnits);
-        std::fputs(", ", f);
-        fputNum(f, "corrected_words", e.correctedWords);
-        std::fputs(", ", f);
-        fputNum(f, "degraded_fraction", e.degradedFraction);
-        std::fputs(", ", f);
-        fputNum(f, "tx_rejected", e.txRejected);
-        std::fputs(", ", f);
-        fputNum(f, "client_retry_attempts", e.clientRetryAttempts);
-        std::fputs(", ", f);
-        fputNum(f, "client_backoff_ticks", e.clientBackoffTicks);
-        std::fputs(", ", f);
-        fputNum(f, "client_deadline_misses", e.clientDeadlineMisses);
-        std::fputs(", ", f);
-        fputNum(f, "client_shed_admissions", e.clientShedAdmissions);
-        std::fputs(", ", f);
-        fputNum(f, "channel_busy_ticks", e.channelBusyTicks);
-        std::fputs(", ", f);
-        fputNum(f, "channel_wait_ticks", e.channelWaitTicks);
-        std::fputc('}', f);
-    }
-    std::fputc(']', f);
-}
-
 } // namespace
 
 std::uint64_t
@@ -328,18 +199,6 @@ BenchReport::value(std::string key, double v)
 void
 BenchReport::write() const
 {
-    std::string dir = ".";
-    // lint: nondet-api-ok (HOOP_BENCH_JSON_DIR selects the report output directory only)
-    if (const char *env = std::getenv("HOOP_BENCH_JSON_DIR"))
-        dir = env;
-    const std::string path = dir + "/BENCH_" + name_ + ".json";
-
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
-        return;
-    }
-
     std::uint64_t sim_ticks = 0;
     for (const CellRecord &rec : cells_) {
         if (rec.hasMetrics)
@@ -360,143 +219,80 @@ BenchReport::write() const
         deterministic ? 0.0 : cells_.size() / wall;
     const double ticks_per_sec = deterministic ? 0.0 : sim_ticks / wall;
 
-    std::fputs("{\n  ", f);
-    fputNum(f, "schema_version", std::uint64_t{5});
-    std::fputs(",\n  ", f);
-    fputKey(f, "bench");
-    fputJsonString(f, name_);
+    JsonWriter w;
+    w.beginObject();
+    w.field("schema_version", 6u);
+    w.field("bench", name_);
 
-    std::fputs(",\n  \"config\": {", f);
-    fputNum(f, "num_cores", std::uint64_t{cfg_.numCores});
-    std::fputs(", ", f);
-    fputNum(f, "cpu_ghz", cfg_.cpuGhz);
-    std::fputs(", ", f);
-    fputNum(f, "l1_bytes", cfg_.cache.l1Size);
-    std::fputs(", ", f);
-    fputNum(f, "l2_bytes", cfg_.cache.l2Size);
-    std::fputs(", ", f);
-    fputNum(f, "llc_bytes", cfg_.cache.llcSize);
-    std::fputs(", ", f);
-    fputNum(f, "oop_bytes", cfg_.oopBytes);
-    std::fputs(", ", f);
-    fputNum(f, "oop_block_bytes", cfg_.oopBlockBytes);
-    std::fputs(", ", f);
-    fputNum(f, "mapping_table_bytes", cfg_.mappingTableBytes);
-    std::fputs(", ", f);
-    fputNum(f, "nvm_read_ns", ticksToNs(cfg_.nvm.readLatency));
-    std::fputs(", ", f);
-    fputNum(f, "nvm_write_ns", ticksToNs(cfg_.nvm.writeLatency));
-    std::fputs(", ", f);
-    fputNum(f, "tx_per_core", txPerCore_);
-    std::fputs("}", f);
+    w.key("config");
+    w.beginObject();
+    w.field("num_cores", cfg_.numCores);
+    w.field("cpu_ghz", cfg_.cpuGhz);
+    w.field("l1_bytes", cfg_.cache.l1Size);
+    w.field("l2_bytes", cfg_.cache.l2Size);
+    w.field("llc_bytes", cfg_.cache.llcSize);
+    w.field("oop_bytes", cfg_.oopBytes);
+    w.field("oop_block_bytes", cfg_.oopBlockBytes);
+    w.field("mapping_table_bytes", cfg_.mappingTableBytes);
+    w.field("nvm_read_ns", ticksToNs(cfg_.nvm.readLatency));
+    w.field("nvm_write_ns", ticksToNs(cfg_.nvm.writeLatency));
+    w.field("tx_per_core", txPerCore_);
+    w.endObject();
 
-    std::fputs(",\n  \"host\": {", f);
-    fputNum(f, "jobs", deterministic ? 0 : std::uint64_t{jobs_});
-    std::fputs(", ", f);
-    fputNum(f, "wall_seconds", deterministic ? 0.0 : wallSeconds_);
-    std::fputs(", ", f);
-    fputNum(f, "cells", std::uint64_t{cells_.size()});
-    std::fputs(", ", f);
-    fputNum(f, "cells_per_sec", cells_per_sec);
-    std::fputs(", ", f);
-    fputNum(f, "sim_ticks", sim_ticks);
-    std::fputs(", ", f);
-    fputNum(f, "sim_ticks_per_sec", ticks_per_sec);
-    std::fputs("}", f);
+    w.key("host");
+    w.beginObject();
+    w.field("jobs", deterministic ? 0u : jobs_);
+    w.field("wall_seconds", deterministic ? 0.0 : wallSeconds_);
+    w.field("cells", cells_.size());
+    w.field("cells_per_sec", cells_per_sec);
+    w.field("sim_ticks", sim_ticks);
+    w.field("sim_ticks_per_sec", ticks_per_sec);
+    w.endObject();
 
-    for (const auto &[key, v] : values_) {
-        std::fputs(",\n  ", f);
-        fputJsonString(f, key);
-        std::fprintf(f, ": %.17g", v);
-    }
+    for (const auto &[key, v] : values_)
+        w.field(key, v);
 
     // Host-side per-component wall-time breakdown (--profile only, so
     // the JSON layout is unchanged for unprofiled runs).
     if (HostProfiler::enabled()) {
-        std::fputs(",\n  \"host_profile\": {", f);
+        w.key("host_profile");
+        w.beginObject();
         for (int c = 0; c < HostProfiler::kNumComponents; ++c) {
-            if (c > 0)
-                std::fputs(", ", f);
-            const std::string key =
-                std::string(HostProfiler::name(c)) + "_seconds";
-            fputNum(f, key.c_str(),
+            w.field(std::string(HostProfiler::name(c)) + "_seconds",
                     static_cast<double>(HostProfiler::totalNs(c)) *
                         1e-9);
         }
-        std::fputs("}", f);
+        w.endObject();
     }
 
-    std::fputs(",\n  \"cells\": [", f);
-    bool first_cell = true;
+    w.key("cells");
+    w.beginArray();
     for (const CellRecord &rec : cells_) {
-        std::fputs(first_cell ? "\n    {" : ",\n    {", f);
-        first_cell = false;
-        fputKey(f, "label");
-        fputJsonString(f, rec.label);
-        std::fputs(", ", f);
-        fputNum(f, "seconds", deterministic ? 0.0 : rec.seconds);
+        w.beginObject();
+        w.field("label", rec.label);
+        w.field("seconds", deterministic ? 0.0 : rec.seconds);
         if (rec.hasMetrics) {
-            const RunMetrics &m = rec.metrics;
-            std::fputs(",\n     \"metrics\": {", f);
-            fputNum(f, "transactions", m.transactions);
-            std::fputs(", ", f);
-            fputNum(f, "sim_ticks", m.simTicks);
-            std::fputs(", ", f);
-            fputNum(f, "tx_per_second", m.txPerSecond);
-            std::fputs(", ", f);
-            fputNum(f, "avg_critical_path_ns", m.avgCriticalPathNs);
-            std::fputs(", ", f);
-            fputNum(f, "nvm_bytes_written", m.nvmBytesWritten);
-            std::fputs(", ", f);
-            fputNum(f, "nvm_bytes_read", m.nvmBytesRead);
-            std::fputs(", ", f);
-            fputNum(f, "bytes_written_per_tx", m.bytesWrittenPerTx);
-            std::fputs(", ", f);
-            fputNum(f, "energy_pj", m.energyPj);
-            std::fputs(", ", f);
-            fputNum(f, "llc_miss_ratio", m.llcMissRatio);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "crit_path", m.critPath);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "llc_miss_lat", m.llcMiss);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "gc_pause", m.gcPause);
-            std::fputs(",\n     ", f);
-            fputSummary(f, "scrub_pause", m.scrubPause);
-            std::fputs(",\n     ", f);
-            fputNum(f, "ecc_corrected_words", m.eccCorrectedWords);
-            std::fputs(", ", f);
-            fputNum(f, "uncorrectable_reads", m.uncorrectableReads);
-            std::fputs(", ", f);
-            fputNum(f, "read_retries", m.readRetries);
-            std::fputs(", ", f);
-            fputNum(f, "retired_units", m.retiredUnits);
-            std::fputs(", ", f);
-            fputNum(f, "tx_rejected", m.txRejected);
-            std::fputs(", ", f);
-            fputNum(f, "degraded_fraction", m.degradedFraction);
-            std::fputs(",\n     ", f);
-            fputNum(f, "channel_busy_ticks", m.channelBusyTicks);
-            std::fputs(", ", f);
-            fputNum(f, "channel_wait_ticks", m.channelWaitTicks);
-            std::fputs(", ", f);
-            fputNum(f, "drain_fences", m.drainFences);
-            std::fputs(", ", f);
-            fputNum(f, "channel_utilization", m.channelUtilization);
-            std::fputs(",\n     ", f);
-            fputRoles(f, m.roles);
-            std::fputs(",\n     ", f);
-            fputEpochs(f, m.epochs);
-            std::fputs("}", f);
+            w.key("metrics");
+            writeJson(w, rec.metrics);
         }
-        for (const auto &[key, v] : rec.values) {
-            std::fputs(", ", f);
-            fputJsonString(f, key);
-            std::fprintf(f, ": %.17g", v);
-        }
-        std::fputs("}", f);
+        for (const auto &[key, v] : rec.values)
+            w.field(key, v);
+        w.endObject();
     }
-    std::fputs("\n  ]\n}\n", f);
+    w.endArray();
+    w.endObject();
+
+    std::string dir = ".";
+    // lint: nondet-api-ok (HOOP_BENCH_JSON_DIR selects the report output directory only)
+    if (const char *env = std::getenv("HOOP_BENCH_JSON_DIR"))
+        dir = env;
+    const std::string path = dir + "/BENCH_" + name_ + ".json";
+    std::FILE *f = std::fopen(path.c_str(), "w");
+    if (!f) {
+        std::fprintf(stderr, "[bench] cannot write %s\n", path.c_str());
+        return;
+    }
+    std::fputs(w.str().c_str(), f);
     std::fclose(f);
 
     std::fprintf(stderr,

@@ -20,7 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/json.hh"
 #include "common/logging.hh"
 #include "stats/table.hh"
 #include "workloads/registry.hh"
@@ -71,14 +70,6 @@ std::uint64_t benchTxPerCore();
  * per-component breakdown into the JSON and the stderr summary.
  */
 unsigned benchJobs(int argc, char **argv);
-
-/**
- * Escape @p s for embedding in a JSON string literal. The
- * implementation moved to common/json.hh so library emitters
- * (fleet/soak/trace) share it; re-exported here for bench callers.
- */
-using ::hoopnvm::jsonEscape;
-using ::hoopnvm::jsonQuote;
 
 /** One measured cell. */
 struct Cell

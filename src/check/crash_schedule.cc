@@ -1,7 +1,5 @@
 #include "check/crash_schedule.hh"
 
-#include <sstream>
-
 #include "check/spec_json.hh"
 #include "common/json.hh"
 
@@ -63,35 +61,32 @@ crashPointKindFromToken(const std::string &token, CrashPointKind *out)
 std::string
 CrashSchedule::toJson() const
 {
-    std::ostringstream os;
-    os << "{\n";
-    os << "  \"scheme\": \"" << schemeToken(scheme) << "\",\n";
-    os << "  \"workload\": \"" << workload << "\",\n";
-    os << "  \"seed\": " << seed << ",\n";
-    os << "  \"num_cores\": " << numCores << ",\n";
-    os << "  \"warmup_tx\": " << warmupTx << ",\n";
-    os << "  \"run_tx\": " << runTx << ",\n";
-    os << "  \"recover_threads\": " << recoverThreads << ",\n";
-    os << "  \"torn_writes\": " << (tornWrites ? "true" : "false")
-       << ",\n";
-    os << "  \"media_fault_prob\": " << jsonNumber(mediaFaultProb)
-       << ",\n";
-    os << "  \"runtime_fault_prob\": " << jsonNumber(runtimeFaultProb)
-       << ",\n";
-    os << "  \"break_commit_fence\": "
-       << (breakCommitFence ? "true" : "false") << ",\n";
-    os << "  \"ordering\": " << (ordering ? "true" : "false") << ",\n";
-    os << "  \"steps\": [";
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        os << (i ? ",\n    " : "\n    ");
-        os << "{\"kind\": \"" << crashPointKindToken(steps[i].kind)
-           << "\", \"countdown\": " << steps[i].countdown
-           << ", \"recovery_countdown\": " << steps[i].recoveryCountdown
-           << "}";
+    JsonWriter w;
+    w.beginObject();
+    w.field("scheme", schemeToken(scheme));
+    w.field("workload", workload);
+    w.field("seed", seed);
+    w.field("num_cores", numCores);
+    w.field("warmup_tx", warmupTx);
+    w.field("run_tx", runTx);
+    w.field("recover_threads", recoverThreads);
+    w.field("torn_writes", tornWrites);
+    w.field("media_fault_prob", mediaFaultProb);
+    w.field("runtime_fault_prob", runtimeFaultProb);
+    w.field("break_commit_fence", breakCommitFence);
+    w.field("ordering", ordering);
+    w.key("steps");
+    w.beginArray();
+    for (const CrashStep &st : steps) {
+        w.beginObject();
+        w.field("kind", crashPointKindToken(st.kind));
+        w.field("countdown", st.countdown);
+        w.field("recovery_countdown", st.recoveryCountdown);
+        w.endObject();
     }
-    os << (steps.empty() ? "]\n" : "\n  ]\n");
-    os << "}\n";
-    return os.str();
+    w.endArray();
+    w.endObject();
+    return w.str();
 }
 
 bool

@@ -50,25 +50,20 @@ installRuntimeFaults(System &sys, const SystemConfig &cfg, double prob,
 std::string
 SoakSpec::toJson() const
 {
-    std::string out = "{\n";
-    auto field = [&out](const char *key, const std::string &val,
-                        bool last = false) {
-        // lint: raw-json-ok (keys are compile-time literals; string values arrive jsonQuote()d)
-        out += std::string("  \"") + key + "\": " + val +
-               (last ? "\n" : ",\n");
-    };
-    field("scheme", jsonQuote(schemeToken(scheme)));
-    field("workload", jsonQuote(workload));
-    field("seed", std::to_string(seed));
-    field("num_cores", std::to_string(numCores));
-    field("warmup_tx", std::to_string(warmupTx));
-    field("phases", std::to_string(phases));
-    field("tx_per_phase", std::to_string(txPerPhase));
-    field("fault_prob", jsonNumber(faultProb));
-    field("escalation", jsonNumber(escalation));
-    field("recover_threads", std::to_string(recoverThreads), true);
-    out += "}\n";
-    return out;
+    JsonWriter w;
+    w.beginObject();
+    w.field("scheme", schemeToken(scheme));
+    w.field("workload", workload);
+    w.field("seed", seed);
+    w.field("num_cores", numCores);
+    w.field("warmup_tx", warmupTx);
+    w.field("phases", phases);
+    w.field("tx_per_phase", txPerPhase);
+    w.field("fault_prob", faultProb);
+    w.field("escalation", escalation);
+    w.field("recover_threads", recoverThreads);
+    w.endObject();
+    return w.str();
 }
 
 bool
@@ -134,7 +129,7 @@ runSoak(const SoakSpec &spec, const SoakProgress &progress)
     };
 
     auto sampleGauges = [&]() {
-        const ControllerGauges g = sys.controller().gauges();
+        const ControllerGauges g = sys.controller().sampleGauges();
         res.retiredUnits = g.retiredUnits;
         res.correctedWords = g.correctedWords;
         res.degradedFraction = g.degradedFraction;

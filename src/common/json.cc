@@ -1,6 +1,6 @@
 /**
  * @file
- * Shared JSON string escaping (see json.hh).
+ * Shared JSON escaping and the document writer (see json.hh).
  */
 #include "common/json.hh"
 
@@ -11,7 +11,7 @@ namespace hoopnvm
 {
 
 std::string
-jsonEscape(const std::string &s)
+jsonEscape(std::string_view s)
 {
     std::string out;
     out.reserve(s.size());
@@ -53,7 +53,7 @@ jsonEscape(const std::string &s)
 }
 
 std::string
-jsonQuote(const std::string &s)
+jsonQuote(std::string_view s)
 {
     // Appended in place: `"\"" + jsonEscape(s)` inlines a copy that
     // GCC 12's -Wrestrict misreads as a possible self-overlap.
@@ -63,13 +63,91 @@ jsonQuote(const std::string &s)
     return out;
 }
 
-std::string
-jsonNumber(double v)
+void
+JsonWriter::newline(std::size_t depth)
 {
+    out_ += '\n';
+    out_.append(2 * depth, ' ');
+}
+
+void
+JsonWriter::element()
+{
+    if (afterKey_) {
+        afterKey_ = false;
+        return;
+    }
+    if (nonEmpty_.empty())
+        return; // the root value
+    const bool first = !nonEmpty_.back();
+    nonEmpty_.back() = true;
+    if (!first)
+        out_ += ',';
+    if (nonEmpty_.size() <= kWrapDepth)
+        newline(nonEmpty_.size());
+    else if (!first)
+        out_ += ' ';
+}
+
+void
+JsonWriter::open(char bracket)
+{
+    element();
+    out_ += bracket;
+    nonEmpty_.push_back(false);
+}
+
+void
+JsonWriter::close(char bracket)
+{
+    const bool wrapped =
+        nonEmpty_.back() && nonEmpty_.size() <= kWrapDepth;
+    nonEmpty_.pop_back();
+    if (wrapped)
+        newline(nonEmpty_.size());
+    out_ += bracket;
+    if (nonEmpty_.empty())
+        out_ += '\n';
+}
+
+void
+JsonWriter::key(std::string_view k)
+{
+    element();
+    out_ += jsonQuote(k);
+    out_ += ": ";
+    afterKey_ = true;
+}
+
+void
+JsonWriter::value(std::uint64_t v)
+{
+    element();
+    out_ += std::to_string(v);
+}
+
+void
+JsonWriter::value(double v)
+{
+    element();
     char buf[32];
     const std::to_chars_result r =
         std::to_chars(buf, buf + sizeof(buf), v);
-    return std::string(buf, r.ptr);
+    out_.append(buf, r.ptr);
+}
+
+void
+JsonWriter::value(bool v)
+{
+    element();
+    out_ += v ? "true" : "false";
+}
+
+void
+JsonWriter::value(std::string_view s)
+{
+    element();
+    out_ += jsonQuote(s);
 }
 
 } // namespace hoopnvm

@@ -28,61 +28,36 @@ mix64(std::uint64_t x)
     return x;
 }
 
-/** Summarize a tick-valued histogram into nanosecond quantiles. */
-LatencySummary
-summarizeLatency(const Histogram &h)
-{
-    LatencySummary s;
-    s.count = h.count();
-    if (s.count == 0)
-        return s;
-    const double k = static_cast<double>(kTicksPerNs);
-    s.p50Ns = h.quantile(0.5) / k;
-    s.p95Ns = h.quantile(0.95) / k;
-    s.p99Ns = h.quantile(0.99) / k;
-    s.p999Ns = h.quantile(0.999) / k;
-    s.maxNs = static_cast<double>(h.max()) / k;
-    s.meanNs = h.mean() / k;
-    return s;
-}
-
 } // namespace
 
 std::string
 FleetSpec::toJson() const
 {
-    std::string out = "{\n";
-    auto field = [&out](const char *key, const std::string &val,
-                        bool last = false) {
-        // lint: raw-json-ok (keys are compile-time literals; string values arrive jsonQuote()d)
-        out += std::string("  \"") + key + "\": " + val +
-               (last ? "\n" : ",\n");
-    };
-    field("scheme", jsonQuote(schemeToken(scheme)));
-    field("workload", jsonQuote(workload));
-    field("chaos_profile", jsonQuote(chaosProfile));
-    field("seed", std::to_string(seed));
-    field("shards", std::to_string(shards));
-    field("cores_per_shard", std::to_string(coresPerShard));
-    field("requests", std::to_string(requests));
-    field("warmup_tx", std::to_string(warmupTx));
-    field("recover_threads", std::to_string(recoverThreads));
-    field("max_attempts", std::to_string(maxAttempts));
-    field("backoff_base_ns", jsonNumber(backoffBaseNs));
-    field("deadline_ns", jsonNumber(deadlineNs));
-    field("mean_interarrival_ns", jsonNumber(meanInterarrivalNs));
-    field("think_ns", jsonNumber(thinkNs));
-    field("tenants", std::to_string(tenants));
-    field("tenant_theta", jsonNumber(tenantTheta));
-    field("connections", std::to_string(connections));
-    field("churn_prob", jsonNumber(churnProb));
-    field("chaos_events_per_shard",
-          std::to_string(chaosEventsPerShard));
-    field("fault_prob", jsonNumber(faultProb));
-    field("inject_ack_before_durable",
-          injectAckBeforeDurable ? "true" : "false", true);
-    out += "}\n";
-    return out;
+    JsonWriter w;
+    w.beginObject();
+    w.field("scheme", schemeToken(scheme));
+    w.field("workload", workload);
+    w.field("chaos_profile", chaosProfile);
+    w.field("seed", seed);
+    w.field("shards", shards);
+    w.field("cores_per_shard", coresPerShard);
+    w.field("requests", requests);
+    w.field("warmup_tx", warmupTx);
+    w.field("recover_threads", recoverThreads);
+    w.field("max_attempts", maxAttempts);
+    w.field("backoff_base_ns", backoffBaseNs);
+    w.field("deadline_ns", deadlineNs);
+    w.field("mean_interarrival_ns", meanInterarrivalNs);
+    w.field("think_ns", thinkNs);
+    w.field("tenants", tenants);
+    w.field("tenant_theta", tenantTheta);
+    w.field("connections", connections);
+    w.field("churn_prob", churnProb);
+    w.field("chaos_events_per_shard", chaosEventsPerShard);
+    w.field("fault_prob", faultProb);
+    w.field("inject_ack_before_durable", injectAckBeforeDurable);
+    w.endObject();
+    return w.str();
 }
 
 bool
@@ -239,10 +214,9 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
     std::vector<std::vector<Tick>> busyUntil(
         spec.shards, std::vector<Tick>(spec.coresPerShard, 0));
 
-    // Cumulative client-activity gauges per shard, fed into each
-    // shard's controller so its epoch sampler captures the
-    // degradation timeline alongside the capacity gauges.
-    std::vector<ClientActivity> act(spec.shards);
+    // Per-shard reports; the dispatch loop tallies the client-side
+    // retry, backoff, deadline and shed counts straight into them.
+    std::vector<FleetShardReport> reps(spec.shards);
 
     std::size_t chaosIdx = 0;
     std::uint64_t seq = 0;
@@ -313,8 +287,8 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
             }
             const Tick b =
                 retryBackoffTicks(policy, attempts - 1, retryRng);
-            ++act[s].retryAttempts;
-            act[s].backoffTicks += b;
+            ++reps[s].retryAttempts;
+            reps[s].backoffTicks += b;
             t = std::max(floorTick, t + b);
             return true;
         };
@@ -322,7 +296,7 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
         for (;;) {
             if (pastDeadline(policy, a.at, t)) {
                 outcome = ClientOutcome::TxTimeout;
-                ++act[s].deadlineMisses;
+                ++reps[s].deadlineMisses;
                 break;
             }
             if (!sh.availableAt(t)) {
@@ -334,15 +308,12 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
             const Tick start = std::max(
                 {t, busyUntil[s][core], sh.unavailableUntil()});
             if (!sh.admit(start - t)) {
-                ++act[s].shedAdmissions;
+                ++reps[s].shedAdmissions;
                 if (!backoffOrGiveUp(t, ClientOutcome::Shed))
                     break;
                 continue;
             }
 
-            // Feed the cumulative client gauges in before serving so
-            // the shard's next epoch sample reflects them.
-            sh.noteClientActivity(act[s]);
             const ServeResult sr = sh.serve(core, seq++, &res.detail);
             if (!res.detail.empty()) {
                 res.violated = true;
@@ -356,7 +327,7 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
                 if (pastDeadline(policy, a.at, done)) {
                     // The commit is durable and acked — late, not
                     // lost. Count the miss; the outcome stays Acked.
-                    ++act[s].deadlineMisses;
+                    ++reps[s].deadlineMisses;
                 }
                 outcome = ClientOutcome::Acked;
                 break;
@@ -445,19 +416,15 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
     Histogram fleetH;
     for (unsigned s = 0; s < spec.shards; ++s) {
         FleetShard &sh = *shards[s];
-        sh.noteClientActivity(act[s]);
-        FleetShardReport rep;
+        FleetShardReport &rep = reps[s];
         rep.shard = s;
         rep.counters = sh.counters();
-        rep.retryAttempts = act[s].retryAttempts;
-        rep.backoffTicks = act[s].backoffTicks;
-        rep.deadlineMisses = act[s].deadlineMisses;
-        rep.shedAdmissions = act[s].shedAdmissions;
         rep.admittingAtEnd = sh.admitting();
-        const ControllerGauges g = sh.system().controller().gauges();
+        const ControllerGauges g =
+            sh.system().controller().sampleGauges();
         rep.retiredUnits = g.retiredUnits;
         rep.degradedFraction = g.degradedFraction;
-        rep.latency = summarizeLatency(sh.latency());
+        rep.latency = summarizeTicks(&sh.latency());
         fleetH.merge(sh.latency());
 
         res.retryAttempts += rep.retryAttempts;
@@ -468,9 +435,9 @@ runFleet(const FleetSpec &spec, const FleetProgress &progress)
         res.chaosCrashes += rep.counters.chaosCrashes;
         res.stallWindows += rep.counters.stallWindows;
         res.faultRamps += rep.counters.faultRamps;
-        res.shards.push_back(rep);
     }
-    res.latency = summarizeLatency(fleetH);
+    res.shards = std::move(reps);
+    res.latency = summarizeTicks(&fleetH);
     return res;
 }
 

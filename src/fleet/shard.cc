@@ -131,16 +131,10 @@ FleetShard::oracle(const std::string &when, std::string *violation)
     return false;
 }
 
-void
-FleetShard::noteClientActivity(const ClientActivity &a)
-{
-    sys_->controller().noteClientActivity(a);
-}
-
 double
 FleetShard::degradedFraction()
 {
-    return sys_->controller().gauges().degradedFraction;
+    return sys_->controller().sampleGauges().degradedFraction;
 }
 
 } // namespace hoopnvm

@@ -187,9 +187,6 @@ class FleetShard
     void recordLatency(Tick t) { latency_.record(t); }
     const Histogram &latency() const { return latency_; }
 
-    /** Forward client-side degradation gauges to the epoch sampler. */
-    void noteClientActivity(const ClientActivity &a);
-
     double degradedFraction();
     System &system() { return *sys_; }
 

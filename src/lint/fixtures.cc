@@ -76,6 +76,17 @@ std::string toJson(const std::string &workload)
 }
 )lint";
 
+const char *kBadRawJsonStream = R"lint(
+#include <sstream>
+std::string cellJson(const std::string &workload, const char *scheme)
+{
+    std::ostringstream os;
+    os << "{\"scheme\": \"" << scheme << "\"";
+    os << ", \"workload\": " << "\"" << workload << "\"}";
+    return os.str();
+}
+)lint";
+
 const char *kBadFatal = R"lint(
 void admit(unsigned free_blocks)
 {
@@ -144,6 +155,8 @@ badFixtures()
         {"stats-lookup", "src/fixture/bad_stats_lookup.cc",
          kBadStatsLookup},
         {"raw-json", "src/fixture/bad_raw_json.cc", kBadRawJson},
+        {"raw-json", "src/fixture/bad_raw_json_stream.cc",
+         kBadRawJsonStream},
         {"fatal-in-txpath", "src/fixture/bad_fatal.cc", kBadFatal},
         {"float-eq", "src/fixture/bad_float_eq.cc", kBadFloatEq},
     };

@@ -818,7 +818,6 @@ ruleRawJson(const FileView &fv, Sink *sink)
             if (raw.find("jsonEscape") != std::string::npos ||
                 raw.find("jsonQuote") != std::string::npos ||
                 raw.find("appendJsonString") != std::string::npos ||
-                raw.find("fputJsonString") != std::string::npos ||
                 raw.find("fail(") != std::string::npos ||
                 raw.find("CHECK(") != std::string::npos ||
                 raw.find("HOOP_ASSERT") != std::string::npos ||
@@ -835,20 +834,24 @@ ruleRawJson(const FileView &fv, Sink *sink)
         const std::size_t closeOff = lit.open + lit.text.size() + 1;
         const char before = prevNonSpace(fv, lit.open);
         const char after = nextNonSpace(fv, closeOff + 1);
+        // A '<' beside a string literal in an expression can only be
+        // a stream `<<`.
+        const bool joined = before == '+' || after == '+' ||
+                            before == '<' || after == '<';
 
         bool hit = false;
         std::string why;
         // (a) a bare escaped-quote fragment concatenated to a runtime
-        // expression: "\"" + value — the PR 5 bug class (the value is
-        // emitted into a JSON string with no escaping).
-        if (t == "\\\"" && (before == '+' || after == '+')) {
+        // expression: "\"" + value or os << "\"" << value (the value
+        // is emitted into a JSON string with no escaping).
+        if (t == "\\\"" && joined) {
             hit = true;
             why = "quote fragment concatenated with a runtime value";
         }
         // (b) a JSON key/value skeleton ("\"key\": ...") concatenated
         // with a runtime expression.
         else if (lit.text.find("\\\":") != std::string::npos &&
-                 (before == '+' || after == '+')) {
+                 joined) {
             hit = true;
             why = "JSON skeleton concatenated with a runtime value";
         }

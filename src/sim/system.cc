@@ -21,7 +21,18 @@ namespace hoopnvm
 namespace
 {
 
-/** Summarize @p h (samples in ticks) as nanosecond quantiles. */
+/**
+ * Role-name table for the interference workload's per-role latency
+ * histograms ("role_<name>_ticks" in the system StatSet). metrics()
+ * scans this fixed list so RunMetrics.roles is deterministic in both
+ * content and order; workloads that never record them produce an
+ * empty roles vector.
+ */
+constexpr const char *kRoleNames[] = {"log_append", "point_read",
+                                      "seq_scan", "gc_pressure"};
+
+} // namespace
+
 LatencySummary
 summarizeTicks(const Histogram *h)
 {
@@ -43,19 +54,6 @@ summarizeTicks(const Histogram *h)
     s.p999Saturated = Histogram::quantileSaturated(s.count, 0.999);
     return s;
 }
-
-/**
- * Role-name table for the interference workload's per-role latency
- * histograms ("role_<name>_ticks" in the system StatSet). metrics()
- * scans this fixed list so RunMetrics.roles is deterministic in both
- * content and order; workloads that never record them produce an
- * empty roles vector.
- */
-constexpr const char *kRoleNames[] = {"log_append", "point_read",
-                                      "seq_scan", "gc_pressure"};
-
-
-} // namespace
 
 std::unique_ptr<PersistenceController>
 makeController(Scheme scheme, NvmDevice &nvm, const SystemConfig &cfg)
@@ -382,21 +380,10 @@ System::sampleEpoch(Tick now)
     if (cfg_.epochSamplePeriod == 0 || cfg_.epochRingCapacity == 0 ||
         now < nextEpoch_)
         return;
-    const ControllerGauges g = ctrl_->gauges();
     EpochSample s;
+    static_cast<ControllerGauges &>(s) = ctrl_->sampleGauges();
     s.at = now;
-    s.mappingEntries = g.mappingEntries;
-    s.structBytes = g.structBytes;
-    s.backpressureStalls = g.backpressureStalls;
     s.inflightWrites = nvm_->faults().inflight();
-    s.retiredUnits = g.retiredUnits;
-    s.correctedWords = g.correctedWords;
-    s.degradedFraction = g.degradedFraction;
-    s.txRejected = g.txRejected;
-    s.clientRetryAttempts = g.clientRetryAttempts;
-    s.clientBackoffTicks = g.clientBackoffTicks;
-    s.clientDeadlineMisses = g.clientDeadlineMisses;
-    s.clientShedAdmissions = g.clientShedAdmissions;
     s.channelBusyTicks = nvm_->channelBusyTicks();
     s.channelWaitTicks = nvm_->channelWaitTicks();
     if (epochRing_.size() < cfg_.epochRingCapacity) {
@@ -406,7 +393,7 @@ System::sampleEpoch(Tick now)
         epochHead_ = (epochHead_ + 1) % epochRing_.size();
     }
     if (trace_)
-        trace_->counter("mapping_entries", now, g.mappingEntries);
+        trace_->counter("mapping_entries", now, s.mappingEntries);
     nextEpoch_ = now + cfg_.epochSamplePeriod;
 }
 

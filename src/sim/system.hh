@@ -12,10 +12,13 @@
 #ifndef HOOPNVM_SIM_SYSTEM_HH
 #define HOOPNVM_SIM_SYSTEM_HH
 
+#include <concepts>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/types.hh"
 #include "controller/persistence_controller.hh"
 #include "mem/cache_hierarchy.hh"
@@ -29,6 +32,14 @@ namespace hoopnvm
 {
 
 class TraceBuffer;
+
+// Field lists. Each metric struct below is followed by one
+// forEachField(f, s...) that names every reported member once, in
+// report order, paired with its bench JSON key: it calls
+// f(key, s.member...) with the same member of every argument. The
+// bench JSON writer (writeJson) and the tests' exact-equality helper
+// both walk these lists, so a new metric is one struct field plus one
+// field-list line.
 
 /** Quantile summary of one latency histogram, in nanoseconds. */
 struct LatencySummary
@@ -56,52 +67,38 @@ struct LatencySummary
     bool p999Saturated = false;
 };
 
-/** One snapshot of the system's occupancy gauges (epoch sampler). */
-struct EpochSample
+template <typename F, std::same_as<LatencySummary>... S>
+void
+forEachField(F &&f, const S &...s)
+{
+    f("count", s.count...);
+    f("p50_ns", s.p50Ns...);
+    f("p95_ns", s.p95Ns...);
+    f("p99_ns", s.p99Ns...);
+    f("p999_ns", s.p999Ns...);
+    f("max_ns", s.maxNs...);
+    f("mean_ns", s.meanNs...);
+    f("p50_saturated", s.p50Saturated...);
+    f("p95_saturated", s.p95Saturated...);
+    f("p99_saturated", s.p99Saturated...);
+    f("p999_saturated", s.p999Saturated...);
+}
+
+/** Summarize @p h (samples in ticks; null or empty -> zeros) as
+ *  nanosecond quantiles with their saturation markers. */
+LatencySummary summarizeTicks(const Histogram *h);
+
+/**
+ * One snapshot of the system's occupancy gauges (epoch sampler): the
+ * controller's ControllerGauges plus what only the System sees.
+ */
+struct EpochSample : ControllerGauges
 {
     /** Simulated tick the sample was taken at. */
     Tick at = 0;
 
-    /** Live entries in the scheme's remap structure. */
-    std::uint64_t mappingEntries = 0;
-
-    /** Bytes live in the scheme's persistence structure (OOP, log). */
-    std::uint64_t structBytes = 0;
-
-    /** Cumulative allocation backpressure stalls at this epoch. */
-    std::uint64_t backpressureStalls = 0;
-
     /** NVM writes issued but not yet settled (fault-model tracked). */
     std::uint64_t inflightWrites = 0;
-
-    // ---- Media-fault tolerance gauges (zero unless cfg.ft.enabled) --
-
-    /** Blocks (HOOP) or log slots (baselines) durably retired. */
-    std::uint64_t retiredUnits = 0;
-
-    /** Cumulative words repaired by the modelled ECC on reads. */
-    std::uint64_t correctedWords = 0;
-
-    /** Fraction of scheme capacity lost to retirement, in [0, 1]. */
-    double degradedFraction = 0.0;
-
-    /** Transactions rejected (admission or capacity exhaustion). */
-    std::uint64_t txRejected = 0;
-
-    // ---- Client-side degradation gauges (zero unless a fleet/soak
-    // ---- driver feeds them via noteClientActivity) ----
-
-    /** Cumulative client retry attempts against this shard. */
-    std::uint64_t clientRetryAttempts = 0;
-
-    /** Cumulative simulated ticks clients spent backing off. */
-    std::uint64_t clientBackoffTicks = 0;
-
-    /** Requests whose per-request deadline expired (TxTimeout). */
-    std::uint64_t clientDeadlineMisses = 0;
-
-    /** Requests refused by admission control (load shedding). */
-    std::uint64_t clientShedAdmissions = 0;
 
     // ---- NVM channel gauges (interference suite) ----
 
@@ -111,6 +108,23 @@ struct EpochSample
     /** Cumulative ticks accesses queued behind a busy channel. */
     std::uint64_t channelWaitTicks = 0;
 };
+
+template <typename F, std::same_as<EpochSample>... S>
+void
+forEachField(F &&f, const S &...s)
+{
+    f("at_ticks", s.at...);
+    f("mapping_entries", s.mappingEntries...);
+    f("struct_bytes", s.structBytes...);
+    f("backpressure_stalls", s.backpressureStalls...);
+    f("inflight_writes", s.inflightWrites...);
+    f("retired_units", s.retiredUnits...);
+    f("corrected_words", s.correctedWords...);
+    f("degraded_fraction", s.degradedFraction...);
+    f("tx_rejected", s.txRejected...);
+    f("channel_busy_ticks", s.channelBusyTicks...);
+    f("channel_wait_ticks", s.channelWaitTicks...);
+}
 
 /**
  * Per-role slice of an interference run: one entry per workload role
@@ -132,6 +146,16 @@ struct RoleMetrics
     /** Per-transaction latency distribution for this role. */
     LatencySummary latency;
 };
+
+template <typename F, std::same_as<RoleMetrics>... S>
+void
+forEachField(F &&f, const S &...s)
+{
+    f("role", s.name...);
+    f("transactions", s.transactions...);
+    f("tx_per_second", s.txPerSecond...);
+    f("latency", s.latency...);
+}
 
 /** Measurement snapshot of one run. */
 struct RunMetrics
@@ -208,6 +232,74 @@ struct RunMetrics
     /** Epoch gauge samples, oldest first (ring-buffer bounded). */
     std::vector<EpochSample> epochs;
 };
+
+template <typename F, std::same_as<RunMetrics>... S>
+void
+forEachField(F &&f, const S &...s)
+{
+    f("transactions", s.transactions...);
+    f("sim_ticks", s.simTicks...);
+    f("tx_per_second", s.txPerSecond...);
+    f("avg_critical_path_ns", s.avgCriticalPathNs...);
+    f("nvm_bytes_written", s.nvmBytesWritten...);
+    f("nvm_bytes_read", s.nvmBytesRead...);
+    f("bytes_written_per_tx", s.bytesWrittenPerTx...);
+    f("energy_pj", s.energyPj...);
+    f("llc_miss_ratio", s.llcMissRatio...);
+    f("crit_path", s.critPath...);
+    f("llc_miss_lat", s.llcMiss...);
+    f("gc_pause", s.gcPause...);
+    f("scrub_pause", s.scrubPause...);
+    f("ecc_corrected_words", s.eccCorrectedWords...);
+    f("uncorrectable_reads", s.uncorrectableReads...);
+    f("read_retries", s.readRetries...);
+    f("retired_units", s.retiredUnits...);
+    f("tx_rejected", s.txRejected...);
+    f("degraded_fraction", s.degradedFraction...);
+    f("channel_busy_ticks", s.channelBusyTicks...);
+    f("channel_wait_ticks", s.channelWaitTicks...);
+    f("drain_fences", s.drainFences...);
+    f("channel_utilization", s.channelUtilization...);
+    f("roles", s.roles...);
+    f("epochs", s.epochs...);
+}
+
+/** Write @p v as a JSON array (see the writeJson below). */
+template <typename T>
+void
+writeJson(JsonWriter &w, const std::vector<T> &v)
+{
+    w.beginArray();
+    for (const T &e : v)
+        writeJson(w, e);
+    w.endArray();
+}
+
+/**
+ * Write @p v as a JSON value by walking the field lists: a metric
+ * struct becomes an object, a vector an array, and a flag 0/1 (the
+ * schema's saturation markers are numbers).
+ */
+template <typename T>
+void
+writeJson(JsonWriter &w, const T &v)
+{
+    if constexpr (std::is_same_v<T, bool>) {
+        w.value(std::uint64_t{v});
+    } else if constexpr (std::is_arithmetic_v<T> ||
+                         std::is_same_v<T, std::string>) {
+        w.value(v);
+    } else {
+        w.beginObject();
+        forEachField(
+            [&w](const char *key, const auto &m) {
+                w.key(key);
+                writeJson(w, m);
+            },
+            v);
+        w.endObject();
+    }
+}
 
 /** A full simulated machine running one persistence scheme. */
 class System

@@ -220,8 +220,8 @@ TEST_P(LogBaseline, AdmissionRejectsOnceTheLogIsDegraded)
         nvm.faults().addMediaFault(begin, end,
                                    MediaFaultKind::StuckAtZero, 1.0, 3);
     ctrl->scrub(0);
-    ASSERT_GT(ctrl->gauges().retiredUnits, 0u);
-    ASSERT_GE(ctrl->gauges().degradedFraction,
+    ASSERT_GT(ctrl->sampleGauges().retiredUnits, 0u);
+    ASSERT_GE(ctrl->sampleGauges().degradedFraction,
               cfg.ft.rejectCapacityFraction);
 
     const std::string scheme_log =

@@ -1,23 +1,24 @@
 /**
  * @file
- * Unit tests for the bench JSON string escaper. RFC 8259 requires
- * quotation mark, reverse solidus and ALL control characters below
- * 0x20 to be escaped — the bug this guards against escaped only \n,
- * so a label containing e.g. \x01 produced unparseable JSON.
+ * Unit tests for the JSON string escaper and writer. RFC 8259
+ * requires quotation mark, reverse solidus and ALL control characters
+ * below 0x20 to be escaped — the bug this guards against escaped only
+ * \n, so a label containing e.g. \x01 produced unparseable JSON. The
+ * writer must also place every comma and print doubles that parse
+ * back to the same value.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <string>
 
-#include "bench_common.hh"
+#include "common/json.hh"
 
 namespace hoopnvm
 {
 namespace
 {
-
-using bench::jsonEscape;
 
 TEST(JsonEscape, PlainAsciiPassesThrough)
 {
@@ -69,6 +70,66 @@ TEST(JsonEscape, HighBytesPassThroughUnchanged)
     // 0x7f and UTF-8 continuation bytes are legal raw in JSON strings.
     const std::string s = "\x7f\xc3\xa9"; // DEL + e-acute in UTF-8
     EXPECT_EQ(jsonEscape(s), s);
+}
+
+TEST(JsonWriter, NestsContainersAndPlacesCommas)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.field("n", std::uint64_t{3});
+    w.key("list");
+    w.beginArray();
+    w.value(std::uint64_t{1});
+    w.beginObject();
+    w.field("ok", true);
+    w.field("no", false);
+    w.endObject();
+    w.beginArray();
+    w.endArray();
+    w.endArray();
+    w.key("empty");
+    w.beginObject();
+    w.endObject();
+    w.endObject();
+    // Two levels wrap, one element a line; the third stays inline.
+    EXPECT_EQ(w.str(), "{\n"
+                       "  \"n\": 3,\n"
+                       "  \"list\": [\n"
+                       "    1,\n"
+                       "    {\"ok\": true, \"no\": false},\n"
+                       "    []\n"
+                       "  ],\n"
+                       "  \"empty\": {}\n"
+                       "}\n");
+}
+
+TEST(JsonWriter, EscapesKeysAndStringValues)
+{
+    JsonWriter w;
+    w.beginObject();
+    w.field("a\"b", "c\\d\n");
+    w.field(std::string("k\x01"), std::string("v\t"));
+    w.endObject();
+    EXPECT_EQ(w.str(), "{\n"
+                       "  \"a\\\"b\": \"c\\\\d\\n\",\n"
+                       "  \"k\\u0001\": \"v\\t\"\n"
+                       "}\n");
+}
+
+TEST(JsonWriter, DoublesRoundTripExactly)
+{
+    // 6 significant digits (the old ostream default) would print
+    // 0.123457 here.
+    for (const double v : {0.1234567890123456789, 1.0 / 3.0, 2.5e-17,
+                           123456789.987654321, 0.0, 7.0}) {
+        JsonWriter w;
+        w.value(v);
+        const std::string text = w.str();
+        EXPECT_EQ(std::strtod(text.c_str(), nullptr), v) << text;
+    }
+    JsonWriter w;
+    w.value(0.75);
+    EXPECT_EQ(w.str(), "0.75");
 }
 
 } // namespace

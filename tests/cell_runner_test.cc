@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "metrics_equal.hh"
 
 namespace hoopnvm
 {
@@ -61,50 +62,7 @@ runMatrix(unsigned jobs, bool fast_path = true)
     return out;
 }
 
-void
-expectIdenticalSummary(const LatencySummary &a, const LatencySummary &b,
-                       const char *which)
-{
-    SCOPED_TRACE(which);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.p50Ns, b.p50Ns);
-    EXPECT_EQ(a.p95Ns, b.p95Ns);
-    EXPECT_EQ(a.p99Ns, b.p99Ns);
-    EXPECT_EQ(a.p999Ns, b.p999Ns);
-    EXPECT_EQ(a.maxNs, b.maxNs);
-    EXPECT_EQ(a.meanNs, b.meanNs);
-}
-
-void
-expectIdenticalMetrics(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.transactions, b.transactions);
-    EXPECT_EQ(a.simTicks, b.simTicks);
-    EXPECT_EQ(a.txPerSecond, b.txPerSecond);
-    EXPECT_EQ(a.avgCriticalPathNs, b.avgCriticalPathNs);
-    EXPECT_EQ(a.nvmBytesWritten, b.nvmBytesWritten);
-    EXPECT_EQ(a.nvmBytesRead, b.nvmBytesRead);
-    EXPECT_EQ(a.bytesWrittenPerTx, b.bytesWrittenPerTx);
-    EXPECT_EQ(a.energyPj, b.energyPj);
-    EXPECT_EQ(a.llcMissRatio, b.llcMissRatio);
-    // Histograms must merge to the same quantiles at any job count.
-    expectIdenticalSummary(a.critPath, b.critPath, "critPath");
-    expectIdenticalSummary(a.llcMiss, b.llcMiss, "llcMiss");
-    expectIdenticalSummary(a.gcPause, b.gcPause, "gcPause");
-    // And the epoch sampler must fire at the same simulated ticks.
-    ASSERT_EQ(a.epochs.size(), b.epochs.size());
-    for (std::size_t i = 0; i < a.epochs.size(); ++i) {
-        SCOPED_TRACE("epoch " + std::to_string(i));
-        EXPECT_EQ(a.epochs[i].at, b.epochs[i].at);
-        EXPECT_EQ(a.epochs[i].mappingEntries,
-                  b.epochs[i].mappingEntries);
-        EXPECT_EQ(a.epochs[i].structBytes, b.epochs[i].structBytes);
-        EXPECT_EQ(a.epochs[i].backpressureStalls,
-                  b.epochs[i].backpressureStalls);
-        EXPECT_EQ(a.epochs[i].inflightWrites,
-                  b.epochs[i].inflightWrites);
-    }
-}
+using test::expectIdenticalMetrics;
 
 // The acceptance property of the whole harness: per-cell metrics are
 // bit-identical whether cells run serially or across a pool.

@@ -411,6 +411,24 @@ TEST(FleetRun, DeterministicRunToRun)
     }
 }
 
+// Fleet tails go through the benches' summarizer: with fewer than 1000
+// samples p999 is the exact max, and the summary must say so.
+TEST(FleetRun, UnderPopulatedTailsAreMarkedSaturated)
+{
+    FleetSpec spec = smallFleetSpec();
+    spec.chaosProfile = "none";
+    const FleetResult r = runFleet(spec);
+    ASSERT_FALSE(r.violated) << r.detail;
+    ASSERT_GT(r.latency.count, 0u);
+    ASSERT_LT(r.latency.count, 1000u);
+    EXPECT_TRUE(r.latency.p999Saturated);
+    EXPECT_EQ(r.latency.p999Ns, r.latency.maxNs);
+    for (const FleetShardReport &sh : r.shards) {
+        ASSERT_GT(sh.latency.count, 0u);
+        EXPECT_TRUE(sh.latency.p999Saturated);
+    }
+}
+
 TEST(FleetRun, CrashProfileRecoversOnlineWithoutLoss)
 {
     FleetSpec spec = smallFleetSpec();

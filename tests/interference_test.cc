@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench_common.hh"
+#include "metrics_equal.hh"
 #include "workloads/interference_wl.hh"
 
 namespace hoopnvm
@@ -133,50 +134,7 @@ runSweep(unsigned jobs, unsigned overlap_depth = 1)
     return out;
 }
 
-void
-expectIdenticalSummary(const LatencySummary &a, const LatencySummary &b,
-                       const std::string &which)
-{
-    SCOPED_TRACE(which);
-    EXPECT_EQ(a.count, b.count);
-    EXPECT_EQ(a.p50Ns, b.p50Ns);
-    EXPECT_EQ(a.p95Ns, b.p95Ns);
-    EXPECT_EQ(a.p99Ns, b.p99Ns);
-    EXPECT_EQ(a.p999Ns, b.p999Ns);
-    EXPECT_EQ(a.maxNs, b.maxNs);
-    EXPECT_EQ(a.meanNs, b.meanNs);
-    EXPECT_EQ(a.p50Saturated, b.p50Saturated);
-    EXPECT_EQ(a.p95Saturated, b.p95Saturated);
-    EXPECT_EQ(a.p99Saturated, b.p99Saturated);
-    EXPECT_EQ(a.p999Saturated, b.p999Saturated);
-}
-
-void
-expectIdenticalMetrics(const RunMetrics &a, const RunMetrics &b)
-{
-    EXPECT_EQ(a.transactions, b.transactions);
-    EXPECT_EQ(a.simTicks, b.simTicks);
-    EXPECT_EQ(a.txPerSecond, b.txPerSecond);
-    EXPECT_EQ(a.avgCriticalPathNs, b.avgCriticalPathNs);
-    EXPECT_EQ(a.nvmBytesWritten, b.nvmBytesWritten);
-    EXPECT_EQ(a.nvmBytesRead, b.nvmBytesRead);
-    EXPECT_EQ(a.energyPj, b.energyPj);
-    expectIdenticalSummary(a.critPath, b.critPath, "critPath");
-    // The new channel gauges must be as deterministic as the rest.
-    EXPECT_EQ(a.channelBusyTicks, b.channelBusyTicks);
-    EXPECT_EQ(a.channelWaitTicks, b.channelWaitTicks);
-    EXPECT_EQ(a.drainFences, b.drainFences);
-    EXPECT_EQ(a.channelUtilization, b.channelUtilization);
-    // And so must the per-role block, order included.
-    ASSERT_EQ(a.roles.size(), b.roles.size());
-    for (std::size_t i = 0; i < a.roles.size(); ++i) {
-        EXPECT_EQ(a.roles[i].name, b.roles[i].name);
-        EXPECT_EQ(a.roles[i].transactions, b.roles[i].transactions);
-        EXPECT_EQ(a.roles[i].txPerSecond, b.roles[i].txPerSecond);
-        expectIdenticalSummary(a.roles[i].latency, b.roles[i].latency,
-                               "role " + a.roles[i].name);
-    }
-}
+using test::expectIdenticalMetrics;
 
 TEST(Interference, ParallelMatchesSerialExactly)
 {

@@ -1,16 +1,18 @@
 #!/bin/sh
 # Run the jobs of .github/workflows/ci.yml that need no network (the
-# Werror Release build and ctest, the ASan and UBSan builds and their
-# ctest, hoop_lint, the crashcheck, ordercheck, soak and fleet sweeps
-# with their seeded-bug self-checks, and the bench, interference, trace
-# and perf smoke jobs) with the same commands and pass/fail rules. The
-# TSan and clang-tidy jobs are not run. Keep it in step with ci.yml.
+# Werror Release build and ctest, the ASan, UBSan and TSan builds and
+# their ctest, the TSan fleet chaos and traced parallel bench runs,
+# hoop_lint, the crashcheck, ordercheck, soak and fleet sweeps with
+# their seeded-bug self-checks, and the bench, interference, trace and
+# perf smoke jobs) with the same commands and pass/fail rules. The
+# clang-tidy job is not run. Keep it in step with ci.yml.
 # Usage, from the repository root:
 #
 #   tools/ci_local.sh [build-dir]      (default build-ci)
 #
-# The sanitizer builds go to <build-dir>/asan and <build-dir>/ubsan,
-# outputs to <build-dir>/ci-out; the first failing job stops it.
+# The sanitizer builds go to <build-dir>/asan, <build-dir>/ubsan and
+# <build-dir>/tsan, outputs to <build-dir>/ci-out; the first failing
+# job stops it.
 
 set -eu
 build=${1:-build-ci}
@@ -50,6 +52,13 @@ cmake --build "$build" -j"$jobs"
 step "ctest"
 (cd "$build" && ctest --output-on-failure -j"$jobs")
 
+rm -rf "$out"
+mkdir -p "$out"
+
+# The installed google-benchmark may predate the "0.01s" form ci.yml
+# passes; a plain number means seconds to old and new versions alike.
+min_time=--benchmark_min_time=0.01
+
 step "ASan+UBSan build and ctest"
 cmake -B "$build/asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DHOOP_SANITIZE=address
@@ -62,8 +71,23 @@ cmake -B "$build/ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$build/ubsan" -j"$jobs"
 ctest --test-dir "$build/ubsan" --output-on-failure -j"$jobs"
 
-rm -rf "$out"
-mkdir -p "$out"
+step "TSan build, ctest, fleet chaos matrix and traced parallel bench"
+cmake -B "$build/tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DHOOP_SANITIZE=thread
+cmake --build "$build/tsan" -j"$jobs"
+TSAN_OPTIONS=halt_on_error=1 \
+    ctest --test-dir "$build/tsan" --output-on-failure -j"$jobs"
+mkdir -p "$out/tsan-fleet"
+for s in hoop redo; do
+    TSAN_OPTIONS=halt_on_error=1 "$build/tsan/tools/hoop_fleet" \
+        --scheme "$s" --chaos mixed --shards 4 --cores 2 \
+        --requests 400 --seed 42 --budget-ms 600000 \
+        --out "$out/tsan-fleet"
+done
+TSAN_OPTIONS=halt_on_error=1 HOOP_BENCH_TX=3 HOOP_BENCH_JOBS=4 \
+    HOOP_TRACE="$out/tsan_trace.json" HOOP_BENCH_JSON_DIR="$out" \
+    "$build/tsan/bench/bench_fig7_throughput" "$min_time" > /dev/null
+python3 -m json.tool "$out/tsan_trace.json" > /dev/null
 
 step "hoop_lint self-test and tree lint"
 "$tools/hoop_lint" --self-test
@@ -160,10 +184,6 @@ fail_if_clean "$tools/hoop_fleet" --scheme hoop --chaos crashes \
     --shards 4 --requests 600 --inject-ack-bug --out "$out/fleet-bug"
 replay_fails hoop_fleet "$out/fleet-bug" fleet
 
-# The installed google-benchmark may predate the "0.01s" form ci.yml
-# passes; a plain number means seconds to old and new versions alike.
-min_time=--benchmark_min_time=0.01
-
 step "bench smoke: every bench binary at HOOP_BENCH_TX=3"
 mkdir -p "$out/bench-json"
 for b in "$build"/bench/bench_*; do
@@ -191,7 +211,7 @@ cmp "$out/interference-j1/BENCH_interference.json" \
 python3 - "$out/interference-j1/BENCH_interference.json" << 'PY'
 import json, sys
 r = json.load(open(sys.argv[1]))
-assert r["schema_version"] == 5, r["schema_version"]
+assert r["schema_version"] == 6, r["schema_version"]
 cells = r["cells"]
 # hoop+redo x 3 saturations x 2 mixes
 assert len(cells) == 12, len(cells)

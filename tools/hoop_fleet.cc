@@ -23,7 +23,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -92,65 +91,54 @@ printResult(const FleetResult &r)
 }
 
 void
-appendLatencyJson(std::ostringstream &os, const LatencySummary &l)
+writeCell(JsonWriter &w, const FleetSpec &spec, const FleetResult &r)
 {
-    os << "{\"count\": " << l.count << ", \"p50_ns\": " << l.p50Ns
-       << ", \"p95_ns\": " << l.p95Ns << ", \"p99_ns\": " << l.p99Ns
-       << ", \"p999_ns\": " << l.p999Ns << ", \"max_ns\": " << l.maxNs
-       << ", \"mean_ns\": " << l.meanNs << "}";
-}
-
-void
-appendCellJson(std::string &doc, const FleetSpec &spec,
-               const FleetResult &r, bool first)
-{
-    std::ostringstream os;
-    os << (first ? "" : ",") << "\n    {\"scheme\": \""
-       << schemeToken(spec.scheme) << "\", \"chaos\": \""
-       << spec.chaosProfile << "\", \"workload\": \"" << spec.workload
-       << "\", \"shards\": " << spec.shards << ", \"violated\": "
-       << (r.violated ? "true" : "false")
-       << ", \"requests\": " << r.requests
-       << ", \"acked\": " << r.acked
-       << ", \"rejected\": " << r.rejected
-       << ", \"timed_out\": " << r.timedOut
-       << ", \"shed\": " << r.shed
-       << ", \"retry_attempts\": " << r.retryAttempts
-       << ", \"backoff_ticks\": " << r.backoffTicks
-       << ", \"deadline_misses\": " << r.deadlineMisses
-       << ", \"shed_admissions\": " << r.shedAdmissions
-       << ", \"recoveries\": " << r.recoveries
-       << ", \"chaos_crashes\": " << r.chaosCrashes
-       << ", \"stall_windows\": " << r.stallWindows
-       << ", \"fault_ramps\": " << r.faultRamps
-       << ", \"latency\": ";
-    appendLatencyJson(os, r.latency);
-    os << ", \"per_shard\": [";
-    for (std::size_t s = 0; s < r.shards.size(); ++s) {
-        const FleetShardReport &sh = r.shards[s];
-        os << (s ? ", " : "") << "{\"shard\": " << sh.shard
-           << ", \"acked\": " << sh.counters.acked
-           << ", \"rejected_admission\": "
-           << sh.counters.rejectedAdmission
-           << ", \"rejected_mid_tx\": " << sh.counters.rejectedMidTx
-           << ", \"recoveries\": " << sh.counters.recoveries
-           << ", \"chaos_crashes\": " << sh.counters.chaosCrashes
-           << ", \"stall_windows\": " << sh.counters.stallWindows
-           << ", \"fault_ramps\": " << sh.counters.faultRamps
-           << ", \"retry_attempts\": " << sh.retryAttempts
-           << ", \"backoff_ticks\": " << sh.backoffTicks
-           << ", \"deadline_misses\": " << sh.deadlineMisses
-           << ", \"shed_admissions\": " << sh.shedAdmissions
-           << ", \"admitting_at_end\": "
-           << (sh.admittingAtEnd ? "true" : "false")
-           << ", \"retired_units\": " << sh.retiredUnits
-           << ", \"degraded_fraction\": " << sh.degradedFraction
-           << ", \"latency\": ";
-        appendLatencyJson(os, sh.latency);
-        os << "}";
+    w.beginObject();
+    w.field("scheme", schemeToken(spec.scheme));
+    w.field("chaos", spec.chaosProfile);
+    w.field("workload", spec.workload);
+    w.field("shards", spec.shards);
+    w.field("violated", r.violated);
+    w.field("requests", r.requests);
+    w.field("acked", r.acked);
+    w.field("rejected", r.rejected);
+    w.field("timed_out", r.timedOut);
+    w.field("shed", r.shed);
+    w.field("retry_attempts", r.retryAttempts);
+    w.field("backoff_ticks", r.backoffTicks);
+    w.field("deadline_misses", r.deadlineMisses);
+    w.field("shed_admissions", r.shedAdmissions);
+    w.field("recoveries", r.recoveries);
+    w.field("chaos_crashes", r.chaosCrashes);
+    w.field("stall_windows", r.stallWindows);
+    w.field("fault_ramps", r.faultRamps);
+    w.key("latency");
+    writeJson(w, r.latency);
+    w.key("per_shard");
+    w.beginArray();
+    for (const FleetShardReport &sh : r.shards) {
+        w.beginObject();
+        w.field("shard", sh.shard);
+        w.field("acked", sh.counters.acked);
+        w.field("rejected_admission", sh.counters.rejectedAdmission);
+        w.field("rejected_mid_tx", sh.counters.rejectedMidTx);
+        w.field("recoveries", sh.counters.recoveries);
+        w.field("chaos_crashes", sh.counters.chaosCrashes);
+        w.field("stall_windows", sh.counters.stallWindows);
+        w.field("fault_ramps", sh.counters.faultRamps);
+        w.field("retry_attempts", sh.retryAttempts);
+        w.field("backoff_ticks", sh.backoffTicks);
+        w.field("deadline_misses", sh.deadlineMisses);
+        w.field("shed_admissions", sh.shedAdmissions);
+        w.field("admitting_at_end", sh.admittingAtEnd);
+        w.field("retired_units", sh.retiredUnits);
+        w.field("degraded_fraction", sh.degradedFraction);
+        w.key("latency");
+        writeJson(w, sh.latency);
+        w.endObject();
     }
-    os << "]}";
-    doc += os.str();
+    w.endArray();
+    w.endObject();
 }
 
 int
@@ -232,10 +220,13 @@ main(int argc, char **argv)
         profiles.push_back(chaos_arg);
     }
 
-    std::string cells_json;
+    JsonWriter cells_json;
+    cells_json.beginObject();
+    cells_json.field("tool", "hoop_fleet");
+    cells_json.key("cells");
+    cells_json.beginArray();
     std::size_t violation_files = 0;
     std::size_t total_violations = 0;
-    bool first_cell = true;
 
     for (Scheme scheme : schemes) {
         for (const std::string &profile : profiles) {
@@ -248,8 +239,7 @@ main(int argc, char **argv)
                         profile.c_str(),
                         r.violated ? "VIOLATED" : "clean");
             printResult(r);
-            appendCellJson(cells_json, spec, r, first_cell);
-            first_cell = false;
+            writeCell(cells_json, spec, r);
 
             if (r.violated) {
                 ++total_violations;
@@ -263,11 +253,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (!json_path.empty()) {
-        std::ofstream f(json_path);
-        f << "{\n  \"tool\": \"hoop_fleet\",\n  \"cells\": ["
-          << cells_json << "\n  ]\n}\n";
-    }
+    cells_json.endArray();
+    cells_json.endObject();
+    if (!json_path.empty())
+        std::ofstream(json_path) << cells_json.str();
 
     std::printf("total: %zu cell(s) violated\n", total_violations);
     return total_violations == 0 ? 0 : 1;

@@ -16,12 +16,12 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/soak.hh"
 #include "check/watchdog.hh"
+#include "common/json.hh"
 #include "cli.hh"
 
 namespace
@@ -87,23 +87,21 @@ replay(const std::string &path, const SoakProgress &progress)
 }
 
 void
-appendCellJson(std::string &doc, const SoakSpec &spec,
-               const SoakResult &r, bool first)
+writeCell(JsonWriter &w, const SoakSpec &spec, const SoakResult &r)
 {
-    std::ostringstream os;
-    os << (first ? "" : ",") << "\n    {\"scheme\": \""
-       << schemeToken(spec.scheme) << "\", \"workload\": \""
-       << spec.workload << "\", \"violated\": "
-       << (r.violated ? "true" : "false")
-       << ", \"rejected_admission\": " << r.rejectedAdmission
-       << ", \"rejected_mid_tx\": " << r.rejectedMidTx
-       << ", \"recoveries\": " << r.recoveries
-       << ", \"retired_units\": " << r.retiredUnits
-       << ", \"corrected_words\": " << r.correctedWords
-       << ", \"read_retries\": " << r.readRetries
-       << ", \"uncorrectable_reads\": " << r.uncorrectableReads
-       << ", \"degraded_fraction\": " << r.degradedFraction << "}";
-    doc += os.str();
+    w.beginObject();
+    w.field("scheme", schemeToken(spec.scheme));
+    w.field("workload", spec.workload);
+    w.field("violated", r.violated);
+    w.field("rejected_admission", r.rejectedAdmission);
+    w.field("rejected_mid_tx", r.rejectedMidTx);
+    w.field("recoveries", r.recoveries);
+    w.field("retired_units", r.retiredUnits);
+    w.field("corrected_words", r.correctedWords);
+    w.field("read_retries", r.readRetries);
+    w.field("uncorrectable_reads", r.uncorrectableReads);
+    w.field("degraded_fraction", r.degradedFraction);
+    w.endObject();
 }
 
 } // namespace
@@ -156,10 +154,12 @@ main(int argc, char **argv)
     const std::vector<std::string> workloads =
         cli::expandWorkloads(workload_arg);
 
-    std::string cells_json;
+    JsonWriter cells_json;
+    cells_json.beginObject();
+    cells_json.key("cells");
+    cells_json.beginArray();
     std::size_t violation_files = 0;
     std::size_t total_violations = 0;
-    bool first_cell = true;
 
     for (Scheme scheme : schemes) {
         for (const std::string &wl : workloads) {
@@ -172,8 +172,7 @@ main(int argc, char **argv)
                         wl.c_str(),
                         r.violated ? "VIOLATED" : "clean");
             printResult(r);
-            appendCellJson(cells_json, spec, r, first_cell);
-            first_cell = false;
+            writeCell(cells_json, spec, r);
 
             if (r.violated) {
                 ++total_violations;
@@ -187,10 +186,10 @@ main(int argc, char **argv)
         }
     }
 
-    if (!json_path.empty()) {
-        std::ofstream f(json_path);
-        f << "{\n  \"cells\": [" << cells_json << "\n  ]\n}\n";
-    }
+    cells_json.endArray();
+    cells_json.endObject();
+    if (!json_path.empty())
+        std::ofstream(json_path) << cells_json.str();
 
     std::printf("total: %zu cell(s) violated\n", total_violations);
     return total_violations == 0 ? 0 : 1;
