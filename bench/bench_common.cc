@@ -79,6 +79,7 @@ benchTxPerCore()
 unsigned
 benchJobs(int argc, char **argv)
 {
+    unsigned jobs = 0;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--profile") == 0) {
             HostProfiler::enable();
@@ -91,9 +92,9 @@ benchJobs(int argc, char **argv)
             num = argv[++i];
         const long v = std::strtol(num, nullptr, 10);
         if (v >= 1)
-            return static_cast<unsigned>(v);
+            jobs = static_cast<unsigned>(v);
     }
-    return 0;
+    return jobs;
 }
 
 CellRunner::CellRunner(unsigned jobs) : jobs_(resolveJobs(jobs)) {}

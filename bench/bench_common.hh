@@ -62,9 +62,10 @@ inline constexpr std::uint64_t kTxPerCore = 150;
 std::uint64_t benchTxPerCore();
 
 /**
- * Parse the standard bench flags and return the worker-thread count:
- * the value of a `-jN` argument, or 0 when absent (CellRunner then
- * falls back to HOOP_BENCH_JOBS and finally to hardware_concurrency).
+ * Parse the standard bench flags, in any order, and return the
+ * worker-thread count: the value of the last `-jN` argument, or 0 when
+ * absent (CellRunner then falls back to HOOP_BENCH_JOBS and finally to
+ * hardware_concurrency).
  * A `--profile` argument enables the host-side wall-time profiler
  * (see common/host_profiler.hh); BenchReport then emits the
  * per-component breakdown into the JSON and the stderr summary.

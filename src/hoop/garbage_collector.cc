@@ -106,6 +106,7 @@ GarbageCollector::run(Tick now)
         max_words += region.block(b).writePtr * MemorySlice::kMaxWords;
     std::vector<WordRecord> recs;
     recs.reserve(max_words);
+    std::vector<std::uint64_t> seqs; // per word-carrying slice, by ordinal
 
     Tick last = now;
     for (std::uint32_t b : cand) {
@@ -138,8 +139,12 @@ GarbageCollector::run(Tick now)
             // isCommitted probe is needed here.
             scannedWordBytes_ +=
                 static_cast<std::uint64_t>(s.count) * kWordSize;
-            for (unsigned i = 0; i < s.count; ++i)
-                recs.push_back({s.homeAddrs[i], s.seq, s.words[i]});
+            const auto ord = static_cast<std::uint32_t>(seqs.size());
+            seqs.push_back(s.seq);
+            for (unsigned i = 0; i < s.count; ++i) {
+                recs.push_back(
+                    WordRecord::make(s.homeAddrs[i], ord, s.words[i]));
+            }
         }
     }
 
@@ -152,7 +157,7 @@ GarbageCollector::run(Tick now)
         // Each coalesced line is written home once, in ascending
         // line-address order, so write timing, crash points and the
         // eviction-buffer contents follow the line order alone.
-        coalesceLines(recs, [&](Addr line, const LineAcc &g) {
+        coalesceLines(recs, seqs, [&](Addr line, const LineAcc &g) {
             std::uint64_t max_seq = 0;
             for (std::size_t w = 0; w < kWordsPerLine; ++w) {
                 if (g.mask & (1u << w))
@@ -194,18 +199,18 @@ GarbageCollector::run(Tick now)
         // Ablation: apply every update individually in age order —
         // a read-modify-write of the home line per scanned word.
         std::sort(recs.begin(), recs.end(),
-                  [](const WordRecord &a, const WordRecord &b) {
-                      return a.seq < b.seq;
+                  [&](const WordRecord &a, const WordRecord &b) {
+                      return seqs[a.ordinal()] < seqs[b.ordinal()];
                   });
         for (const WordRecord &w : recs) {
             ctrl.crashStep(CrashPointKind::GcStep);
-            const Addr line = lineAddr(w.addr);
-            if (ctrl.homeFresherThan(line, w.seq))
+            const Addr line = lineAddr(w.addr());
+            if (ctrl.homeFresherThan(line, seqs[w.ordinal()]))
                 continue;
             std::uint8_t buf[kCacheLineSize];
             last = std::max(
                 last, ctrl.nvm_.read(now, line, buf, kCacheLineSize));
-            std::memcpy(buf + (w.addr - line), &w.value, kWordSize);
+            std::memcpy(buf + (w.addr() - line), &w.value, kWordSize);
             last = std::max(last, ctrl.writeHomeLine(now, line, buf));
             ctrl.orderDep("hoop-gc-watermark", 0);
             ctrl.evictBuf.put(line, buf);

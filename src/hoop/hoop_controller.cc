@@ -6,6 +6,7 @@
 #include "common/errors.hh"
 #include "common/host_profiler.hh"
 #include "common/logging.hh"
+#include "hoop/line_coalescer.hh"
 
 namespace hoopnvm
 {
@@ -46,6 +47,13 @@ HoopController::HoopController(NvmDevice &nvm, const SystemConfig &cfg_)
       recoveriesC_(stats_.counter("recoveries")),
       recoveryReplayH_(stats_.histogram("recovery_replay_ticks"))
 {
+    // GC and recovery number the slices they replay in a 24-bit field.
+    HOOP_ASSERT(cfg.oopBytes / MemorySlice::kSliceBytes <=
+                    kMaxCoalescedSlices,
+                "OOP region of %llu bytes exceeds the %zu slices GC and "
+                "recovery can replay",
+                static_cast<unsigned long long>(cfg.oopBytes),
+                kMaxCoalescedSlices);
     gc_ = std::make_unique<GarbageCollector>(*this);
     recovery = std::make_unique<RecoveryManager>(*this);
 }

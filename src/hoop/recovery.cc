@@ -66,8 +66,9 @@ RecoveryManager::run(unsigned threads,
     // corruption is dropped whole — recovery must never surface a
     // partial transaction. ----
     // The words of every word-carrying slice the phase-1 scan accepted,
-    // in scan order, plus each such slice's (tx, word count), so phases
-    // 2-3 replay without re-reading or re-CRC-checking any slice:
+    // in scan order, plus each such slice's (tx, word count) and seq,
+    // indexed by the slice ordinal the records carry, so phases 2-3
+    // replay without re-reading or re-CRC-checking any slice:
     // acceptance already proved crcOk. Reserve up to the region's slot
     // count (the hard upper bound on accepted slices), capped so a
     // huge sparsely-filled region does not commit gigabytes up front —
@@ -80,6 +81,8 @@ RecoveryManager::run(unsigned threads,
     recs.reserve(max_slices * MemorySlice::kMaxWords);
     std::vector<std::pair<TxId, unsigned>> slice_words;
     slice_words.reserve(max_slices);
+    std::vector<std::uint64_t> seqs; // lines up with slice_words
+    seqs.reserve(max_slices);
     FlatMap<TxInfo> txs;
     std::uint64_t max_commit = 0;
     // Lowest slice sequence number a corruption cut could have
@@ -205,9 +208,13 @@ RecoveryManager::run(unsigned threads,
             if (s.txId != kInvalidTxId)
                 res.maxTxId = std::max(res.maxTxId, s.txId);
             if (s.carriesWords()) {
-                for (unsigned w = 0; w < s.count; ++w)
-                    recs.push_back({s.homeAddrs[w], s.seq, s.words[w]});
+                const auto ord = static_cast<std::uint32_t>(seqs.size());
+                for (unsigned w = 0; w < s.count; ++w) {
+                    recs.push_back(
+                        WordRecord::make(s.homeAddrs[w], ord, s.words[w]));
+                }
                 slice_words.emplace_back(s.txId, s.count);
+                seqs.push_back(s.seq);
             }
             if (s.type == SliceType::Data) {
                 if (s.txId != kInvalidTxId)
@@ -268,8 +275,8 @@ RecoveryManager::run(unsigned threads,
     // only the phase-4 time formula: the merge rule is associative and
     // commutative, so one host pass computes the winner set any
     // partition over workers would. ----
-    // Drop the words of uncommitted transactions: a stable in-place
-    // compaction, so the kept words stay in scan order.
+    // Drop the words of uncommitted transactions in place. The kept
+    // records keep their ordinals, so `seqs` stays as it is.
     std::size_t kept = 0;
     std::size_t next = 0;
     for (const auto &[tx, count] : slice_words) {
@@ -285,7 +292,7 @@ RecoveryManager::run(unsigned threads,
     }
     recs.resize(kept);
     std::uint64_t distinct_words = 0;
-    coalesceLines(recs, [&](Addr line, const LineAcc &g) {
+    coalesceLines(recs, seqs, [&](Addr line, const LineAcc &g) {
         // Crash point: between home-line replay writes. The OOP region
         // is untouched until recoverWithFilter() resets it after run()
         // returns, so a second recovery redoes the overlay idempotently

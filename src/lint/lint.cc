@@ -817,7 +817,6 @@ ruleRawJson(const FileView &fv, Sink *sink)
             const std::string &raw = fv.rawLines[l - 1];
             if (raw.find("jsonEscape") != std::string::npos ||
                 raw.find("jsonQuote") != std::string::npos ||
-                raw.find("appendJsonString") != std::string::npos ||
                 raw.find("fail(") != std::string::npos ||
                 raw.find("CHECK(") != std::string::npos ||
                 raw.find("HOOP_ASSERT") != std::string::npos ||

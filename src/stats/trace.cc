@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <string_view>
 #include <utility>
 
 #include "common/json.hh"
@@ -19,7 +20,7 @@ struct Sink
     std::mutex mu;
     std::string path;
     bool pathSet = false; // setPath() overrides the environment
-    std::vector<std::string> events;
+    std::vector<TraceEvent> events;
     std::atomic<int> nextPid{1};
     bool atexitArmed = false;
 };
@@ -39,22 +40,46 @@ envPath()
     return p ? std::string(p) : std::string();
 }
 
-void
-appendJsonString(std::string &out, const std::string &s)
+/** Ticks (picoseconds) as the trace format's microseconds. */
+double
+micros(Tick t)
 {
-    out += jsonQuote(s);
+    return static_cast<double>(t) / 1e6;
 }
 
 void
-appendMicros(std::string &out, Tick t)
+writeEvent(JsonWriter &w, const TraceEvent &e)
 {
-    // ticks are picoseconds; trace "ts" is microseconds. Render with
-    // six decimals so every distinct tick is a distinct timestamp.
-    char buf[48];
-    std::snprintf(buf, sizeof(buf), "%llu.%06llu",
-                  static_cast<unsigned long long>(t / 1000000),
-                  static_cast<unsigned long long>(t % 1000000));
-    out += buf;
+    w.beginObject();
+    w.field("ph", std::string_view(&e.ph, 1));
+    if (e.ph == 'M') {
+        w.field("pid", static_cast<std::uint64_t>(e.pid));
+        w.field("name", "process_name");
+        w.key("args");
+        w.beginObject();
+        w.field("name", e.name);
+        w.endObject();
+        w.endObject();
+        return;
+    }
+    if (e.ph == 'i')
+        w.field("s", "t");
+    w.field("name", e.name);
+    if (e.ph != 'C')
+        w.field("cat", e.cat);
+    w.field("pid", static_cast<std::uint64_t>(e.pid));
+    if (e.ph != 'C')
+        w.field("tid", e.tid);
+    w.field("ts", micros(e.ts));
+    if (e.ph == 'X')
+        w.field("dur", micros(e.dur));
+    if (e.ph == 'C') {
+        w.key("args");
+        w.beginObject();
+        w.field("value", e.value);
+        w.endObject();
+    }
+    w.endObject();
 }
 
 void
@@ -66,16 +91,10 @@ atexitWrite()
 } // namespace
 
 TraceBuffer::TraceBuffer(std::string processName)
-    : processName_(std::move(processName)),
-      pid_(sink().nextPid.fetch_add(1, std::memory_order_relaxed))
+    : pid_(sink().nextPid.fetch_add(1, std::memory_order_relaxed))
 {
     // Name the process in the trace UI.
-    std::string e = "{\"ph\":\"M\",\"pid\":";
-    e += std::to_string(pid_);
-    e += ",\"name\":\"process_name\",\"args\":{\"name\":";
-    appendJsonString(e, processName_);
-    e += "}}";
-    events_.push_back(std::move(e));
+    events_.push_back({'M', pid_, 0, std::move(processName), {}, 0, 0, 0});
 }
 
 TraceBuffer::~TraceBuffer()
@@ -89,53 +108,20 @@ TraceBuffer::span(const char *name, const char *cat, unsigned tid,
 {
     if (end < start)
         end = start;
-    std::string e = "{\"ph\":\"X\",\"name\":\"";
-    e += name;
-    e += "\",\"cat\":\"";
-    e += cat;
-    e += "\",\"pid\":";
-    e += std::to_string(pid_);
-    e += ",\"tid\":";
-    e += std::to_string(tid);
-    e += ",\"ts\":";
-    appendMicros(e, start);
-    e += ",\"dur\":";
-    appendMicros(e, end - start);
-    e += '}';
-    events_.push_back(std::move(e));
+    events_.push_back({'X', pid_, tid, name, cat, start, end - start, 0});
 }
 
 void
 TraceBuffer::instant(const char *name, const char *cat, unsigned tid,
                      Tick at)
 {
-    std::string e = "{\"ph\":\"i\",\"s\":\"t\",\"name\":\"";
-    e += name;
-    e += "\",\"cat\":\"";
-    e += cat;
-    e += "\",\"pid\":";
-    e += std::to_string(pid_);
-    e += ",\"tid\":";
-    e += std::to_string(tid);
-    e += ",\"ts\":";
-    appendMicros(e, at);
-    e += '}';
-    events_.push_back(std::move(e));
+    events_.push_back({'i', pid_, tid, name, cat, at, 0, 0});
 }
 
 void
 TraceBuffer::counter(const char *name, Tick at, std::uint64_t value)
 {
-    std::string e = "{\"ph\":\"C\",\"name\":\"";
-    e += name;
-    e += "\",\"pid\":";
-    e += std::to_string(pid_);
-    e += ",\"ts\":";
-    appendMicros(e, at);
-    e += ",\"args\":{\"value\":";
-    e += std::to_string(value);
-    e += "}}";
-    events_.push_back(std::move(e));
+    events_.push_back({'C', pid_, 0, name, {}, at, 0, value});
 }
 
 void
@@ -198,16 +184,16 @@ write()
     std::FILE *f = std::fopen(p.c_str(), "w");
     if (!f)
         return false;
-    std::fputs("{\"traceEvents\":[", f);
-    for (std::size_t i = 0; i < s.events.size(); ++i) {
-        if (i)
-            std::fputc(',', f);
-        std::fputc('\n', f);
-        std::fputs(s.events[i].c_str(), f);
-    }
-    std::fputs("\n]}\n", f);
-    const bool ok = std::fclose(f) == 0;
-    return ok;
+    JsonWriter w;
+    w.beginObject();
+    w.key("traceEvents");
+    w.beginArray();
+    for (const TraceEvent &e : s.events)
+        writeEvent(w, e);
+    w.endArray();
+    w.endObject();
+    const bool wrote = std::fputs(w.str().c_str(), f) >= 0;
+    return std::fclose(f) == 0 && wrote;
 }
 
 void

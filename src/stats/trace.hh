@@ -6,8 +6,9 @@
  * spans for transactions, GC steps, migrations and recovery phases with
  * timestamps taken from the simulated clock. Buffers are single-threaded
  * (one per simulated System, matching the bench harness's
- * one-cell-per-thread model) and render events to JSON eagerly so the
- * global sink only concatenates strings under a mutex.
+ * one-cell-per-thread model) and keep plain event records; the global
+ * sink gathers them under a mutex and renders the whole document once,
+ * through JsonWriter, when the trace is written.
  *
  * Tracing is off unless the HOOP_TRACE environment variable names an
  * output file (or a tool calls Trace::setPath()). When off, no
@@ -15,9 +16,10 @@
  * test — zero allocation, zero formatting.
  *
  * Timestamps: the trace-event format wants microseconds; the simulator
- * clock is ticks (integer picoseconds). Events are emitted with
- * fractional-microsecond precision (3 decimals = nanoseconds) so short
- * spans stay visible.
+ * clock is ticks (integer picoseconds). `ts` and `dur` are written as
+ * fractional microseconds in their shortest round-trip form, which is
+ * the exact tick count for any time below 10^15 ps (1000 simulated
+ * seconds), so every distinct tick stays a distinct timestamp.
  */
 
 #ifndef HOOPNVM_STATS_TRACE_HH
@@ -31,6 +33,21 @@
 
 namespace hoopnvm
 {
+
+/** One recorded trace event. The phase says which fields apply:
+ *  'M' names process @p pid @p name; 'X' is a span of @p dur ticks;
+ *  'i' an instant; 'C' a counter sample of @p value. */
+struct TraceEvent
+{
+    char ph;
+    int pid;
+    unsigned tid;
+    std::string name;
+    std::string cat;
+    Tick ts;
+    Tick dur;
+    std::uint64_t value;
+};
 
 /** Per-System collector of Chrome trace events. */
 class TraceBuffer
@@ -71,9 +88,8 @@ class TraceBuffer
     std::size_t eventCount() const { return events_.size(); }
 
   private:
-    std::string processName_;
     int pid_;
-    std::vector<std::string> events_;
+    std::vector<TraceEvent> events_;
 };
 
 /** Process-wide trace sink. */

@@ -7,7 +7,9 @@
 # Cases: usage (every tool exits 2 on an unknown flag and on each value
 # flag given no value), crash-replay and fleet-replay (a seeded bug
 # exits 1 and its first reproducer replays with exit 1), soak-clean (a
-# one-cell soak exits 0). Reproducers land in <work-dir>.
+# one-cell soak exits 0), bench-profile (a bench binary turns on its
+# host profiler for `-j1 --profile` and for `--profile -j1`; here
+# <tools-dir> is the bench directory). Reproducers land in <work-dir>.
 
 set -u
 check=$1
@@ -81,6 +83,16 @@ fleet-replay)
 soak-clean)
     expect 0 "$bin/hoop_soak" --scheme hoop --workload vector \
         --phases 2 --tx 20 --out out
+    ;;
+bench-profile)
+    for args in "-j1 --profile" "--profile -j1"; do
+        # $args is left unquoted so it splits into its two flags.
+        if ! HOOP_BENCH_TX=3 "$bin/bench_workloads" $args 2>&1 \
+            > /dev/null | grep -q "host profile:"; then
+            echo "FAIL: no host profile line: bench_workloads $args"
+            status=1
+        fi
+    done
     ;;
 *)
     echo "unknown case $check"

@@ -264,4 +264,26 @@ assert ticks_per_sec >= FLOOR, (
     f"the {FLOOR:.3g} floor -- a fast-path regression?")
 PY
 
+step "perf smoke: GC replay peak-RSS ceiling"
+python3 - "$build/bench/bench_table4_data_reduction" "$out/perf-json/rss" \
+    << 'PY'
+import os, resource, subprocess, sys
+# Peak RSS of one GC-heavy run: Table IV's sweep on one worker at
+# 40 tx/core. Measured 46.6 MiB (GCC 12, Release); 56 MiB leaves 20 %
+# headroom and fails the 65.4 MiB of the former 48-byte-per-word
+# GC/recovery coalescer.
+CEILING_MIB = 56
+out = sys.argv[2]
+os.makedirs(out, exist_ok=True)
+env = dict(os.environ, HOOP_BENCH_TX="40", HOOP_BENCH_DETERMINISTIC="1",
+           HOOP_BENCH_JSON_DIR=out)
+subprocess.run([sys.argv[1], "-j1"], env=env, stdout=subprocess.DEVNULL,
+               check=True)
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+print(f"table4 peak RSS = {rss:.1f} MiB (ceiling {CEILING_MIB} MiB)")
+assert rss <= CEILING_MIB, (
+    f"peak RSS {rss:.1f} MiB exceeds the {CEILING_MIB} MiB ceiling -- "
+    f"did GC or recovery replay grow its per-word memory?")
+PY
+
 echo "ci_local: all jobs passed"
