@@ -79,11 +79,15 @@ struct Cell
     bool verified = false;
 };
 
-/** Run one (scheme, workload) cell. */
+/**
+ * Run one (scheme, workload) cell. A non-empty @p inspect is handed the
+ * finished System, for stats that RunMetrics does not carry.
+ */
 inline Cell
 runCell(Scheme scheme, const std::string &workload,
         const WorkloadParams &params, const SystemConfig &cfg,
-        std::uint64_t tx_per_core = kTxPerCore)
+        std::uint64_t tx_per_core = kTxPerCore,
+        const std::function<void(System &)> &inspect = {})
 {
     System sys(cfg, scheme);
     const RunOutcome out =
@@ -92,6 +96,8 @@ runCell(Scheme scheme, const std::string &workload,
         HOOP_FATAL("verification failed for %s/%s",
                    schemeName(scheme), workload.c_str());
     }
+    if (inspect)
+        inspect(sys);
     return Cell{out.metrics, out.verified};
 }
 

@@ -1,16 +1,29 @@
 /**
  * @file
- * Reproduces paper Figure 7: (a) transaction throughput normalized to
- * Opt-Redo and (b) critical-path latency normalized to the native
- * system, for all Table III workloads across the six schemes plus the
- * Ideal (native) system.
+ * Reproduces paper Figures 7, 8 and 9 from one simulation of their
+ * shared grid (all Table III workloads x the six schemes plus the
+ * Ideal (native) system, Table II config):
+ *  - Fig. 7: (a) transaction throughput normalized to Opt-Redo and
+ *    (b) critical-path latency normalized to the native system;
+ *  - Fig. 8: NVM write traffic per transaction, normalized to native;
+ *  - Fig. 9: NVM access energy per transaction (Table II energy
+ *    parameters), normalized to native.
  *
- * Expected shape (paper §IV-B/C): HOOP beats every persistent scheme
- * (Opt-Redo worst; ordering Opt-Redo < Opt-Undo < OSP < LSM < LAD <
- * HOOP < Ideal on average) and its critical path sits close to the
- * native system while undo logging and LSM sit far above it. The
- * footer reports the geometric-mean ratios the paper quotes, plus the
- * read-path profile of §IV-C.
+ * Expected shape:
+ *  - §IV-B/C: HOOP beats every persistent scheme (Opt-Redo worst;
+ *    ordering Opt-Redo < Opt-Undo < OSP < LSM < LAD < HOOP < Ideal on
+ *    average) and its critical path sits close to the native system
+ *    while undo logging and LSM sit far above it.
+ *  - §IV-D: Opt-Redo and Opt-Undo write about 2.1x / 1.9x more than
+ *    HOOP; OSP, LSM and LAD sit 21.2% / 12.5% / 11.6% above HOOP.
+ *  - §IV-E: HOOP has the best energy efficiency of the persistent
+ *    schemes even though GC and parallel reads add read traffic,
+ *    because writes cost ~5x more energy per bit than reads; paper
+ *    reductions vs OSP/LSM/LAD are 37.6%/29.6%/10.8%.
+ *
+ * Each figure is followed by the paper-vs-measured ratios the paper
+ * quotes; Fig. 7 also gets the latency-tail table and the §IV-C
+ * read-path profile, taken from the HOOP/ycsb-1KB cell.
  */
 
 #include <cmath>
@@ -21,11 +34,55 @@
 using namespace hoopnvm;
 using namespace hoopnvm::bench;
 
+namespace
+{
+
+using Grid = std::map<Scheme, std::vector<Cell>>;
+
+/**
+ * Print one table of @p metric normalized to scheme @p base, per
+ * workload plus the geomean across workloads, and return each
+ * scheme's geomean.
+ */
+std::map<Scheme, double>
+printNormalized(const std::string &title,
+                const std::vector<WorkloadCol> &cols,
+                const std::vector<Scheme> &schemes, const Grid &results,
+                Scheme base, double (*metric)(const RunMetrics &))
+{
+    TablePrinter table(title);
+    std::vector<std::string> header = {"scheme"};
+    for (const auto &c : cols)
+        header.push_back(c.label);
+    header.push_back("geomean");
+    table.setHeader(header);
+
+    std::map<Scheme, double> geo;
+    for (Scheme s : schemes) {
+        std::vector<std::string> row = {schemeName(s)};
+        double g = 0.0;
+        for (std::size_t w = 0; w < cols.size(); ++w) {
+            const double norm = metric(results.at(s)[w].metrics) /
+                                metric(results.at(base)[w].metrics);
+            row.push_back(TablePrinter::num(norm, 2));
+            g += std::log(norm);
+        }
+        geo[s] = std::exp(g / static_cast<double>(cols.size()));
+        row.push_back(TablePrinter::num(geo[s], 2));
+        table.addRow(row);
+    }
+    table.print();
+    return geo;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
     const SystemConfig cfg = paperConfig();
-    banner("Figure 7 - transaction throughput & critical-path latency",
+    banner("Figures 7-9 - throughput, critical-path latency, NVM "
+           "write traffic & energy",
            cfg);
 
     const auto cols = figureWorkloads();
@@ -33,98 +90,59 @@ main(int argc, char **argv)
     const std::uint64_t tx_per_core = benchTxPerCore();
 
     // metric[scheme][workload], filled in parallel.
-    std::map<Scheme, std::vector<Cell>> results;
+    Grid results;
     for (Scheme s : schemes)
         results[s].resize(cols.size());
+
+    // The §IV-C read-path profile needs the System's internal stats,
+    // so the HOOP/ycsb-1KB cell reads them before its System goes.
+    const Cell *profile = nullptr;
+    double profile_fills = 0.0;
+    double profile_parallel_reads = 0.0;
 
     CellRunner runner(benchJobs(argc, argv));
     for (Scheme s : schemes) {
         for (std::size_t w = 0; w < cols.size(); ++w) {
-            scheduleCell(runner,
-                         std::string(schemeName(s)) + "/" +
-                             cols[w].label,
-                         s, cols[w].name,
-                         paperParams(cols[w].valueBytes), cfg,
-                         tx_per_core, &results[s][w]);
-        }
-    }
-
-    // §IV-C read-path profile for HOOP on the full suite: needs the
-    // System's internal stats, so it runs as a custom cell.
-    RunMetrics profile_metrics;
-    double profile_fills = 0.0;
-    double profile_parallel_reads = 0.0;
-    {
-        const std::size_t idx =
-            runner.add("hoop-read-path/ycsb-1KB", [&] {
-                System sys(cfg, Scheme::Hoop);
-                const RunOutcome out = runWorkload(
-                    sys, makeWorkload("ycsb", paperParams(1024)),
-                    tx_per_core);
-                profile_metrics = out.metrics;
-                profile_fills = static_cast<double>(
-                    sys.caches().stats().value("llc_fills"));
-                profile_parallel_reads = static_cast<double>(
-                    sys.controller().stats().value("parallel_reads"));
+            const std::string label =
+                std::string(schemeName(s)) + "/" + cols[w].label;
+            const WorkloadParams params =
+                paperParams(cols[w].valueBytes);
+            Cell *out = &results[s][w];
+            if (s != Scheme::Hoop || cols[w].label != "ycsb-1KB") {
+                scheduleCell(runner, label, s, cols[w].name, params, cfg,
+                             tx_per_core, out);
+                continue;
+            }
+            profile = out;
+            const std::string workload = cols[w].name;
+            const std::size_t idx = runner.add(label, [&, out, workload,
+                                                       params] {
+                *out = runCell(Scheme::Hoop, workload, params, cfg,
+                               tx_per_core, [&](System &sys) {
+                                   profile_fills = static_cast<double>(
+                                       sys.caches().stats().value(
+                                           "llc_fills"));
+                                   profile_parallel_reads =
+                                       static_cast<double>(
+                                           sys.controller()
+                                               .stats()
+                                               .value("parallel_reads"));
+                               });
             });
-        runner.noteMetrics(idx, &profile_metrics);
+            runner.noteMetrics(idx, &out->metrics);
+        }
     }
     runner.run();
 
-    TablePrinter tput(
-        "Fig. 7a: throughput normalized to Opt-Redo (higher is better)");
-    {
-        std::vector<std::string> header = {"scheme"};
-        for (const auto &c : cols)
-            header.push_back(c.label);
-        header.push_back("geomean");
-        tput.setHeader(header);
-    }
-    std::map<Scheme, double> tput_geo;
-    for (Scheme s : schemes) {
-        std::vector<std::string> row = {schemeName(s)};
-        double geo = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const double norm =
-                results[s][w].metrics.txPerSecond /
-                results[Scheme::OptRedo][w].metrics.txPerSecond;
-            row.push_back(TablePrinter::num(norm, 2));
-            geo += std::log(norm);
-        }
-        geo = std::exp(geo / static_cast<double>(cols.size()));
-        tput_geo[s] = geo;
-        row.push_back(TablePrinter::num(geo, 2));
-        tput.addRow(row);
-    }
-    tput.print();
-
-    TablePrinter lat(
+    const auto tput_geo = printNormalized(
+        "Fig. 7a: throughput normalized to Opt-Redo (higher is better)",
+        cols, schemes, results, Scheme::OptRedo,
+        [](const RunMetrics &m) { return m.txPerSecond; });
+    const auto lat_geo = printNormalized(
         "Fig. 7b: critical-path latency normalized to Ideal (lower is "
-        "better)");
-    {
-        std::vector<std::string> header = {"scheme"};
-        for (const auto &c : cols)
-            header.push_back(c.label);
-        header.push_back("geomean");
-        lat.setHeader(header);
-    }
-    std::map<Scheme, double> lat_geo;
-    for (Scheme s : schemes) {
-        std::vector<std::string> row = {schemeName(s)};
-        double geo = 0.0;
-        for (std::size_t w = 0; w < cols.size(); ++w) {
-            const double norm =
-                results[s][w].metrics.avgCriticalPathNs /
-                results[Scheme::Native][w].metrics.avgCriticalPathNs;
-            row.push_back(TablePrinter::num(norm, 2));
-            geo += std::log(norm);
-        }
-        geo = std::exp(geo / static_cast<double>(cols.size()));
-        lat_geo[s] = geo;
-        row.push_back(TablePrinter::num(geo, 2));
-        lat.addRow(row);
-    }
-    lat.print();
+        "better)",
+        cols, schemes, results, Scheme::Native,
+        [](const RunMetrics &m) { return m.avgCriticalPathNs; });
 
     // Latency tails: the mean in Fig. 7b hides GC- and log-induced
     // spikes; the per-scheme quantiles (geomean across workloads, in
@@ -152,7 +170,8 @@ main(int argc, char **argv)
 
     std::printf("paper-vs-measured headline ratios:\n");
     auto imp = [&](Scheme s) {
-        return (tput_geo[Scheme::Hoop] / tput_geo[s] - 1.0) * 100.0;
+        return (tput_geo.at(Scheme::Hoop) / tput_geo.at(s) - 1.0) *
+               100.0;
     };
     std::printf("  HOOP throughput vs Opt-Redo: paper +74.3%%, "
                 "measured %+.1f%%\n",
@@ -171,21 +190,58 @@ main(int argc, char **argv)
                 imp(Scheme::Lad));
     std::printf("  HOOP throughput vs Ideal:    paper -20.6%%, "
                 "measured %+.1f%%\n",
-                (tput_geo[Scheme::Hoop] / tput_geo[Scheme::Native] -
-                 1.0) *
-                    100.0);
+                imp(Scheme::Native));
     std::printf("  HOOP critical path vs Ideal: paper +24.1%%, "
                 "measured %+.1f%%\n\n",
-                (lat_geo[Scheme::Hoop] - 1.0) * 100.0);
+                (lat_geo.at(Scheme::Hoop) - 1.0) * 100.0);
 
     std::printf("HOOP read-path profile (YCSB-1KB): LLC miss ratio "
                 "%.1f%% (paper 12.1%%), parallel reads %.1f%% of "
                 "fills (paper: 28.3%% of misses incur them, 3.4%% "
-                "of accesses)\n",
-                profile_metrics.llcMissRatio * 100.0,
+                "of accesses)\n\n",
+                profile->metrics.llcMissRatio * 100.0,
                 profile_fills > 0.0
                     ? 100.0 * profile_parallel_reads / profile_fills
                     : 0.0);
+
+    const auto traffic_geo = printNormalized(
+        "Fig. 8: NVM bytes written per tx, normalized to Ideal "
+        "(lower is better)",
+        cols, schemes, results, Scheme::Native,
+        [](const RunMetrics &m) { return m.bytesWrittenPerTx; });
+    std::printf("paper-vs-measured traffic ratios (scheme / HOOP):\n");
+    auto ratio = [&](Scheme s) {
+        return traffic_geo.at(s) / traffic_geo.at(Scheme::Hoop);
+    };
+    std::printf("  Opt-Redo: paper 2.1x, measured %.2fx\n",
+                ratio(Scheme::OptRedo));
+    std::printf("  Opt-Undo: paper 1.9x, measured %.2fx\n",
+                ratio(Scheme::OptUndo));
+    std::printf("  OSP:      paper 1.21x, measured %.2fx\n",
+                ratio(Scheme::Osp));
+    std::printf("  LSM:      paper 1.13x, measured %.2fx\n",
+                ratio(Scheme::Lsm));
+    std::printf("  LAD:      paper 1.12x, measured %.2fx\n\n",
+                ratio(Scheme::Lad));
+
+    const auto energy_geo = printNormalized(
+        "Fig. 9: NVM energy per tx, normalized to Ideal "
+        "(lower is better)",
+        cols, schemes, results, Scheme::Native,
+        [](const RunMetrics &m) {
+            return m.energyPj / static_cast<double>(m.transactions);
+        });
+    auto saving = [&](Scheme s) {
+        return (1.0 - energy_geo.at(Scheme::Hoop) / energy_geo.at(s)) *
+               100.0;
+    };
+    std::printf("paper-vs-measured energy savings of HOOP:\n");
+    std::printf("  vs OSP: paper 37.6%%, measured %.1f%%\n",
+                saving(Scheme::Osp));
+    std::printf("  vs LSM: paper 29.6%%, measured %.1f%%\n",
+                saving(Scheme::Lsm));
+    std::printf("  vs LAD: paper 10.8%%, measured %.1f%%\n",
+                saving(Scheme::Lad));
 
     BenchReport report("fig7_throughput", cfg, tx_per_core);
     report.addCells(runner);

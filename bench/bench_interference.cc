@@ -14,42 +14,21 @@
  * log-based baselines once readers fight the persistence stream?
  *
  * Flags: the standard -jN plus `--schemes=hoop,redo,...` to restrict
- * the scheme axis (CI's interference-smoke runs the hoop+redo pair).
+ * the scheme axis, with the scheme tokens of the hoop_* tools (hoop,
+ * redo, undo, osp, lsm, lad, native); CI's interference-smoke runs the
+ * hoop+redo pair.
  */
 
 #include <cstring>
 
 #include "bench_common.hh"
+#include "check/crash_schedule.hh"
 
 using namespace hoopnvm;
 using namespace hoopnvm::bench;
 
 namespace
 {
-
-/** Map a user token ("hoop", "redo", ...) to a Scheme. */
-bool
-parseScheme(const std::string &tok, Scheme *out)
-{
-    struct Entry
-    {
-        const char *token;
-        Scheme scheme;
-    };
-    static const Entry kTable[] = {
-        {"hoop", Scheme::Hoop},   {"redo", Scheme::OptRedo},
-        {"undo", Scheme::OptUndo}, {"osp", Scheme::Osp},
-        {"lsm", Scheme::Lsm},     {"lad", Scheme::Lad},
-        {"ideal", Scheme::Native},
-    };
-    for (const Entry &e : kTable) {
-        if (tok == e.token) {
-            *out = e.scheme;
-            return true;
-        }
-    }
-    return false;
-}
 
 /** Schemes from a `--schemes=a,b,c` flag, or the full figure set. */
 std::vector<Scheme>
@@ -64,7 +43,7 @@ schemesFromArgs(int argc, char **argv)
         for (const char *p = arg + 10;; ++p) {
             if (*p == ',' || *p == '\0') {
                 Scheme s;
-                if (!tok.empty() && parseScheme(tok, &s))
+                if (!tok.empty() && schemeFromToken(tok, &s))
                     out.push_back(s);
                 else if (!tok.empty())
                     HOOP_FATAL("unknown scheme token '%s'",

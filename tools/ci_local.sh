@@ -1,24 +1,51 @@
 #!/bin/sh
-# Run the jobs of .github/workflows/ci.yml that need no network (the
-# Werror Release build and ctest, the ASan, UBSan and TSan builds and
-# their ctest, the TSan fleet chaos and traced parallel bench runs,
-# hoop_lint, the crashcheck, ordercheck, soak and fleet sweeps with
-# their seeded-bug self-checks, and the bench, interference, trace and
-# perf smoke jobs) with the same commands and pass/fail rules. The
-# clang-tidy job is not run. Keep it in step with ci.yml.
-# Usage, from the repository root:
+# The CI jobs, one shell function each. .github/workflows/ci.yml runs
+# every job but clang-tidy as `tools/ci_local.sh --job NAME build`, so
+# this file is the only place that spells out their commands, bounds
+# and assertions. Usage, from the repository root:
 #
-#   tools/ci_local.sh [build-dir]      (default build-ci)
+#   tools/ci_local.sh [--job NAME] [build-dir]      (default build-ci)
 #
-# The sanitizer builds go to <build-dir>/asan, <build-dir>/ubsan and
-# <build-dir>/tsan, outputs to <build-dir>/ci-out; the first failing
-# job stops it.
+# --job runs one job; without it every job runs in the order below and
+# the first failure stops the script. An unknown job exits 2. The
+# Release jobs share <build-dir> (always warnings as errors); the
+# sanitizer builds go to <build-dir>/asan, ubsan and tsan. Each job
+# builds only the targets it needs and writes only to
+# <build-dir>/ci-out/<job>, which it clears first.
 
 set -eu
+
+all_jobs="build-test asan ubsan tsan lint crashcheck ordercheck
+    soak-smoke fleet-smoke bench-smoke interference-smoke trace-smoke
+    perf-smoke"
+
+usage() {
+    echo "usage: tools/ci_local.sh [--job NAME] [build-dir]" >&2
+    echo "jobs:" $all_jobs >&2
+    exit 2
+}
+
+only=
+if [ "${1:-}" = --job ]; then
+    [ $# -ge 2 ] || usage
+    only=$2
+    shift 2
+    case " $(echo $all_jobs) " in
+    *" $only "*) ;;
+    *) usage ;;
+    esac
+fi
+case "${1:-}" in
+-*) usage ;;
+esac
+[ $# -le 1 ] || usage
 build=${1:-build-ci}
-out=$build/ci-out
 jobs=$(nproc)
 tools=$build/tools
+
+# A plain number: google-benchmark 1.7 rejects the "0.01s" form, and
+# from 1.8 on a value with no suffix is read as seconds.
+min_time=--benchmark_min_time=0.01
 
 step() {
     echo "== $*"
@@ -45,98 +72,123 @@ replay_fails() {
     fail_if_clean "$tools/$1" --replay "$repro"
 }
 
-step "Release build with warnings as errors"
-cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Release -DHOOP_WERROR=ON
-cmake --build "$build" -j"$jobs"
+# release <target...>: configure the shared Release build (warnings
+# as errors) and build the named targets, or everything if none.
+release() {
+    cmake -B "$build" -S . -DCMAKE_BUILD_TYPE=Release -DHOOP_WERROR=ON
+    if [ $# -eq 0 ]; then
+        cmake --build "$build" -j"$jobs"
+    else
+        cmake --build "$build" --target "$@" -j"$jobs"
+    fi
+}
 
-step "ctest"
-(cd "$build" && ctest --output-on-failure -j"$jobs")
+# sanitized <name> <cmake flag...>: configure and build everything in
+# <build-dir>/<name> (RelWithDebInfo), then run its ctest.
+sanitized() {
+    dir=$build/$1
+    shift
+    cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@"
+    cmake --build "$dir" -j"$jobs"
+    ctest --test-dir "$dir" --output-on-failure -j"$jobs"
+}
 
-rm -rf "$out"
-mkdir -p "$out"
+job_build_test() {
+    step "Release build with warnings as errors, and ctest"
+    release
+    ctest --test-dir "$build" --output-on-failure -j"$jobs"
+}
 
-# The installed google-benchmark may predate the "0.01s" form ci.yml
-# passes; a plain number means seconds to old and new versions alike.
-min_time=--benchmark_min_time=0.01
+job_asan() {
+    step "ASan+UBSan build and ctest"
+    sanitized asan -DHOOP_SANITIZE=address
+}
 
-step "ASan+UBSan build and ctest"
-cmake -B "$build/asan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DHOOP_SANITIZE=address
-cmake --build "$build/asan" -j"$jobs"
-ctest --test-dir "$build/asan" --output-on-failure -j"$jobs"
+job_ubsan() {
+    step "UBSan build (warnings as errors) and ctest"
+    sanitized ubsan -DHOOP_SANITIZE=undefined -DHOOP_WERROR=ON
+}
 
-step "UBSan build (warnings as errors) and ctest"
-cmake -B "$build/ubsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DHOOP_SANITIZE=undefined -DHOOP_WERROR=ON
-cmake --build "$build/ubsan" -j"$jobs"
-ctest --test-dir "$build/ubsan" --output-on-failure -j"$jobs"
+job_tsan() {
+    export TSAN_OPTIONS=halt_on_error=1
+    step "TSan build and ctest"
+    sanitized tsan -DHOOP_SANITIZE=thread
 
-step "TSan build, ctest, fleet chaos matrix and traced parallel bench"
-cmake -B "$build/tsan" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DHOOP_SANITIZE=thread
-cmake --build "$build/tsan" -j"$jobs"
-TSAN_OPTIONS=halt_on_error=1 \
-    ctest --test-dir "$build/tsan" --output-on-failure -j"$jobs"
-mkdir -p "$out/tsan-fleet"
-for s in hoop redo; do
-    TSAN_OPTIONS=halt_on_error=1 "$build/tsan/tools/hoop_fleet" \
-        --scheme "$s" --chaos mixed --shards 4 --cores 2 \
-        --requests 400 --seed 42 --budget-ms 600000 \
-        --out "$out/tsan-fleet"
-done
-TSAN_OPTIONS=halt_on_error=1 HOOP_BENCH_TX=3 HOOP_BENCH_JOBS=4 \
-    HOOP_TRACE="$out/tsan_trace.json" HOOP_BENCH_JSON_DIR="$out" \
-    "$build/tsan/bench/bench_fig7_throughput" "$min_time" > /dev/null
-python3 -m json.tool "$out/tsan_trace.json" > /dev/null
-
-step "hoop_lint self-test and tree lint"
-"$tools/hoop_lint" --self-test
-"$tools/hoop_lint" --verbose
-
-step "crashcheck: bounded sweep (all schemes x all workloads)"
-"$tools/hoop_crashcheck" --scheme all --workload all --budget 40 \
-    --seed 42 --ordering --out "$out/crashcheck"
-
-step "crashcheck: torn-write sweep"
-for s in hoop redo undo; do
-    for w in hashmap queue; do
-        "$tools/hoop_crashcheck" --scheme "$s" --workload "$w" \
-            --budget 30 --seed 7 --faults torn --ordering \
-            --out "$out/crashcheck"
+    step "fleet chaos matrix under TSan (4 shards, mixed chaos)"
+    mkdir -p "$out/fleet"
+    for s in hoop redo; do
+        "$build/tsan/tools/hoop_fleet" --scheme "$s" --chaos mixed \
+            --shards 4 --cores 2 --requests 400 --seed 42 \
+            --budget-ms 600000 --out "$out/fleet"
     done
-done
 
-step "crashcheck: media-fault sweep"
-"$tools/hoop_crashcheck" --scheme all --workload vector --budget 15 \
-    --seed 42 --faults media --ordering --budget-ms 300000 \
-    --out "$out/crashcheck"
+    step "traced parallel bench under TSan (pool + trace sink)"
+    HOOP_BENCH_TX=3 HOOP_BENCH_JOBS=4 HOOP_TRACE="$out/tsan_trace.json" \
+        HOOP_BENCH_JSON_DIR="$out" \
+        "$build/tsan/bench/bench_fig7_throughput" "$min_time" > /dev/null
+    python3 -m json.tool "$out/tsan_trace.json" > /dev/null
+}
 
-step "crashcheck: broken commit fence must be caught and replay"
-fail_if_clean "$tools/hoop_crashcheck" --scheme hoop --workload vector \
-    --budget 40 --break-commit-fence --out "$out/fence"
-replay_fails hoop_crashcheck "$out/fence" crashcheck
+job_lint() {
+    release hoop_lint
+    step "hoop_lint self-test (every rule proves live on its fixture)"
+    "$tools/hoop_lint" --self-test
+    step "hoop_lint over the tree (annotations shown, baseline must not rot)"
+    "$tools/hoop_lint" --verbose
+}
 
-step "ordercheck: clean sweep"
-"$tools/hoop_ordercheck" --scheme all --workload all
+job_crashcheck() {
+    release hoop_crashcheck
+    step "crashcheck: bounded sweep (all schemes x all workloads)"
+    "$tools/hoop_crashcheck" --scheme all --workload all --budget 40 \
+        --seed 42 --ordering --out "$out/sweep"
 
-step "ordercheck: each seeded bug must be caught"
-fail_if_clean "$tools/hoop_ordercheck" --scheme hoop --break-commit-fence
-fail_if_clean "$tools/hoop_ordercheck" --scheme hoop --skip-settle-fences
-for s in redo undo lsm osp; do
-    fail_if_clean "$tools/hoop_ordercheck" --scheme "$s" --early-commit-ack
-done
-for s in redo lsm lad; do
-    fail_if_clean "$tools/hoop_ordercheck" --scheme "$s" \
-        --skip-settle-fences
-done
-fail_if_clean "$tools/hoop_ordercheck" --scheme undo --skip-undo-log
+    step "crashcheck: torn-write sweep (hoop + baselines, core workloads)"
+    for s in hoop redo undo; do
+        for w in hashmap queue; do
+            "$tools/hoop_crashcheck" --scheme "$s" --workload "$w" \
+                --budget 30 --seed 7 --faults torn --ordering \
+                --out "$out/sweep"
+        done
+    done
 
-step "soak: every scheme x workload under an escalating fault ramp"
-mkdir -p "$out/soak"
-"$tools/hoop_soak" --scheme all --workload all --seed 42 --phases 3 \
-    --tx 40 --budget-ms 300000 --out "$out/soak" \
-    --json "$out/soak/soak_cells.json"
-python3 - "$out/soak/soak_cells.json" << 'PY'
+    step "crashcheck: media-fault sweep (runtime faults + retirement)"
+    "$tools/hoop_crashcheck" --scheme all --workload vector --budget 15 \
+        --seed 42 --faults media --ordering --budget-ms 300000 \
+        --out "$out/sweep"
+
+    step "crashcheck: broken commit fence must be caught and replay"
+    fail_if_clean "$tools/hoop_crashcheck" --scheme hoop --workload vector \
+        --budget 40 --break-commit-fence --out "$out/fence"
+    replay_fails hoop_crashcheck "$out/fence" crashcheck
+}
+
+job_ordercheck() {
+    release hoop_ordercheck
+    step "ordercheck: clean sweep (every scheme x every workload)"
+    "$tools/hoop_ordercheck" --scheme all --workload all
+
+    step "ordercheck: each seeded ordering bug must be caught"
+    fail_if_clean "$tools/hoop_ordercheck" --scheme hoop --break-commit-fence
+    fail_if_clean "$tools/hoop_ordercheck" --scheme hoop --skip-settle-fences
+    for s in redo undo lsm osp; do
+        fail_if_clean "$tools/hoop_ordercheck" --scheme "$s" \
+            --early-commit-ack
+    done
+    for s in redo lsm lad; do
+        fail_if_clean "$tools/hoop_ordercheck" --scheme "$s" \
+            --skip-settle-fences
+    done
+    fail_if_clean "$tools/hoop_ordercheck" --scheme undo --skip-undo-log
+}
+
+job_soak_smoke() {
+    release hoop_soak
+    step "soak: every scheme x workload under an escalating fault ramp"
+    "$tools/hoop_soak" --scheme all --workload all --seed 42 --phases 3 \
+        --tx 40 --budget-ms 300000 --out "$out" \
+        --json "$out/soak_cells.json"
+    python3 - "$out/soak_cells.json" << 'PY'
 import json, sys
 cells = json.load(open(sys.argv[1]))["cells"]
 assert len(cells) == 42, f"expected 42 cells, got {len(cells)}"
@@ -146,15 +198,18 @@ retired = sum(c["retired_units"] for c in cells)
 assert retired > 0, "the fault ramp retired nothing anywhere"
 print(f"42 cells clean, {retired} units retired")
 PY
+}
 
-step "fleet: chaos matrix (hoop + redo)"
-mkdir -p "$out/fleet"
-for s in hoop redo; do
-    "$tools/hoop_fleet" --scheme "$s" --chaos all --shards 4 --cores 2 \
-        --requests 600 --seed 42 --budget-ms 300000 --out "$out/fleet" \
-        --json "$out/fleet/fleet_$s.json"
-done
-python3 - "$out/fleet" << 'PY'
+job_fleet_smoke() {
+    release hoop_fleet
+    step "fleet: chaos matrix (hoop + redo x crashes/stalls/faults/mixed)"
+    mkdir -p "$out/fleet"
+    for s in hoop redo; do
+        "$tools/hoop_fleet" --scheme "$s" --chaos all --shards 4 --cores 2 \
+            --requests 600 --seed 42 --budget-ms 300000 --out "$out/fleet" \
+            --json "$out/fleet/fleet_$s.json"
+    done
+    python3 - "$out/fleet" << 'PY'
 import json, sys
 cells = []
 for s in ("hoop", "redo"):
@@ -179,36 +234,51 @@ assert stalls > 0, "chaos never opened a stall window"
 print(f"8 cells clean; {recov} recoveries, {stalls} stalls")
 PY
 
-step "fleet: ack-before-durable must be caught and replay"
-fail_if_clean "$tools/hoop_fleet" --scheme hoop --chaos crashes \
-    --shards 4 --requests 600 --inject-ack-bug --out "$out/fleet-bug"
-replay_fails hoop_fleet "$out/fleet-bug" fleet
+    step "fleet: ack-before-durable must be caught and replay"
+    fail_if_clean "$tools/hoop_fleet" --scheme hoop --chaos crashes \
+        --shards 4 --requests 600 --inject-ack-bug --out "$out/fleet-bug"
+    replay_fails hoop_fleet "$out/fleet-bug" fleet
+}
 
-step "bench smoke: every bench binary at HOOP_BENCH_TX=3"
-mkdir -p "$out/bench-json"
-for b in "$build"/bench/bench_*; do
-    echo "$b"
-    HOOP_BENCH_TX=3 HOOP_BENCH_JSON_DIR="$out/bench-json" "$b" \
-        "$min_time" > /dev/null
-done
-n=$(ls "$out"/bench-json/BENCH_*.json | wc -l)
-[ "$n" -eq 13 ] || fail "expected 13 bench JSON files, got $n"
+job_bench_smoke() {
+    # The HOOP_BENCHES list in bench/CMakeLists.txt, not a bench_* glob:
+    # a reused build dir may still hold binaries of removed benches.
+    benches=$(sed -n \
+        '/^set(HOOP_BENCHES/,/^)/s/^ *\(bench_[a-z0-9_]*\)$/\1/p' \
+        bench/CMakeLists.txt)
+    [ -n "$benches" ] || fail "no HOOP_BENCHES list in bench/CMakeLists.txt"
+    release $benches
 
-step "interference smoke: hoop+redo sweep, -j1 vs -j4 byte-identical"
-mkdir -p "$out/interference-j1" "$out/interference-j4"
-HOOP_BENCH_TX=10 HOOP_BENCH_DETERMINISTIC=1 \
-    HOOP_BENCH_JSON_DIR="$out/interference-j1" \
-    "$build/bench/bench_interference" --schemes=hoop,redo -j1 \
-    > "$out/interference-j1.out"
-grep -q "Saturation sweep" "$out/interference-j1.out"
-HOOP_BENCH_TX=10 HOOP_BENCH_DETERMINISTIC=1 \
-    HOOP_BENCH_JSON_DIR="$out/interference-j4" \
-    "$build/bench/bench_interference" --schemes=hoop,redo -j4 \
-    > "$out/interference-j4.out"
-cmp "$out/interference-j1.out" "$out/interference-j4.out"
-cmp "$out/interference-j1/BENCH_interference.json" \
-    "$out/interference-j4/BENCH_interference.json"
-python3 - "$out/interference-j1/BENCH_interference.json" << 'PY'
+    step "bench smoke: every listed bench at HOOP_BENCH_TX=3"
+    n=0
+    for b in $benches; do
+        echo "$build/bench/$b"
+        HOOP_BENCH_TX=3 HOOP_BENCH_JSON_DIR="$out" "$build/bench/$b" \
+            "$min_time" > /dev/null
+        [ -f "$out/BENCH_${b#bench_}.json" ] ||
+            fail "$b wrote no BENCH_${b#bench_}.json"
+        n=$((n + 1))
+    done
+    ls -l "$out"
+    got=$(ls "$out"/BENCH_*.json | wc -l)
+    [ "$got" -eq "$n" ] || fail "expected $n bench JSON files, got $got"
+}
+
+job_interference_smoke() {
+    release bench_interference
+    step "interference smoke: hoop+redo sweep, -j1 vs -j4 byte-identical"
+    for j in 1 4; do
+        mkdir -p "$out/j$j"
+        HOOP_BENCH_TX=10 HOOP_BENCH_DETERMINISTIC=1 \
+            HOOP_BENCH_JSON_DIR="$out/j$j" \
+            "$build/bench/bench_interference" --schemes=hoop,redo -j$j \
+            > "$out/j$j.out"
+    done
+    cat "$out/j1.out"
+    grep -q "Saturation sweep" "$out/j1.out"
+    cmp "$out/j1.out" "$out/j4.out"
+    cmp "$out/j1/BENCH_interference.json" "$out/j4/BENCH_interference.json"
+    python3 - "$out/j1/BENCH_interference.json" << 'PY'
 import json, sys
 r = json.load(open(sys.argv[1]))
 assert r["schema_version"] == 6, r["schema_version"]
@@ -230,15 +300,22 @@ for c in cells:
             assert k in lat, f'{c["label"]} latency missing {k}'
 print(f"{len(cells)} cells OK, roles block complete")
 PY
+}
 
-step "trace smoke: Chrome trace JSON validity"
-"$tools/hoop_trace" --scheme hoop --workload hashmap --txs 200 --crash \
-    --out "$out/trace_hoop.json"
-python3 -m json.tool "$out/trace_hoop.json" > /dev/null
-HOOP_TRACE="$out/trace_redo.json" "$tools/hoop_trace" --scheme redo \
-    --workload vector --txs 100 --out "$out/trace_redo.json"
-python3 -m json.tool "$out/trace_redo.json" > /dev/null
-python3 - "$out/trace_hoop.json" << 'PY'
+job_trace_smoke() {
+    release hoop_trace
+    step "trace smoke: a HOOP run with crash + recovery"
+    "$tools/hoop_trace" --scheme hoop --workload hashmap --txs 200 --crash \
+        --out "$out/trace_hoop.json"
+    python3 -m json.tool "$out/trace_hoop.json" > /dev/null
+
+    step "trace smoke: a baseline run via the environment variable"
+    HOOP_TRACE="$out/trace_redo.json" "$tools/hoop_trace" --scheme redo \
+        --workload vector --txs 100 --out "$out/trace_redo.json"
+    python3 -m json.tool "$out/trace_redo.json" > /dev/null
+
+    step "trace smoke: required span categories are present"
+    python3 - "$out/trace_hoop.json" << 'PY'
 import json, sys
 ev = json.load(open(sys.argv[1]))["traceEvents"]
 names = {e["name"] for e in ev}
@@ -249,24 +326,29 @@ assert spans, "no complete spans in trace"
 assert all(e["dur"] >= 0 for e in spans), "negative duration"
 print(f"{len(ev)} events, span names: {sorted(names)}")
 PY
+}
 
-step "perf smoke: simulation-throughput floor"
-mkdir -p "$out/perf-json"
-HOOP_BENCH_TX=200 HOOP_BENCH_JSON_DIR="$out/perf-json" \
-    "$build/bench/bench_fig10_gc_period" --profile "$min_time" > /dev/null
-python3 - "$out/perf-json/BENCH_fig10_gc_period.json" << 'PY'
+job_perf_smoke() {
+    release bench_fig10_gc_period bench_table4_data_reduction
+    step "perf smoke: simulation-throughput floor"
+    HOOP_BENCH_TX=200 HOOP_BENCH_JSON_DIR="$out" \
+        "$build/bench/bench_fig10_gc_period" --profile "$min_time" > /dev/null
+    python3 - "$out/BENCH_fig10_gc_period.json" << 'PY'
 import json, sys
 ticks_per_sec = json.load(open(sys.argv[1]))["host"]["sim_ticks_per_sec"]
-FLOOR = 2e9  # the ci.yml floor; catches order-of-magnitude regressions
+# Dev machines sustain ~35e9 sim ticks/s on this sweep; the floor
+# leaves >10x headroom for slower CI runners. It exists to catch
+# silent order-of-magnitude regressions in the simulation fast paths,
+# not to measure noise.
+FLOOR = 2e9
 print(f"sim_ticks_per_sec = {ticks_per_sec:.3g} (floor {FLOOR:.3g})")
 assert ticks_per_sec >= FLOOR, (
     f"simulation throughput {ticks_per_sec:.3g} ticks/s fell below "
     f"the {FLOOR:.3g} floor -- a fast-path regression?")
 PY
 
-step "perf smoke: GC replay peak-RSS ceiling"
-python3 - "$build/bench/bench_table4_data_reduction" "$out/perf-json/rss" \
-    << 'PY'
+    step "perf smoke: GC replay peak-RSS ceiling"
+    python3 - "$build/bench/bench_table4_data_reduction" "$out/rss" << 'PY'
 import os, resource, subprocess, sys
 # Peak RSS of one GC-heavy run: Table IV's sweep on one worker at
 # 40 tx/core. Measured 46.6 MiB (GCC 12, Release); 56 MiB leaves 20 %
@@ -285,5 +367,23 @@ assert rss <= CEILING_MIB, (
     f"peak RSS {rss:.1f} MiB exceeds the {CEILING_MIB} MiB ceiling -- "
     f"did GC or recovery replay grow its per-word memory?")
 PY
+}
 
-echo "ci_local: all jobs passed"
+# run_job <name>: clear the job's output directory, then run the job in
+# a subshell so its environment ends with it.
+run_job() {
+    out=$build/ci-out/$1
+    rm -rf "$out"
+    mkdir -p "$out"
+    ("job_$(echo "$1" | tr - _)")
+}
+
+if [ -n "$only" ]; then
+    run_job "$only"
+    echo "ci_local: job $only passed"
+else
+    for j in $all_jobs; do
+        run_job "$j"
+    done
+    echo "ci_local: all jobs passed"
+fi
